@@ -10,8 +10,17 @@ one stable single-line record with `--format json-like-stable-schema`:
 with every number as a full decimal string and field order fixed, so the
 emitted record re-renders byte-identically after parsing.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 internal-consistency
-failure.  `--vp` (on prime-taking subcommands) additionally reports the
-p-adic valuation of each numeric output.
+failure.  `--vp` (offered exactly on the subcommands that take `--p`)
+additionally reports the p-adic valuation of each numeric output.
+
+Each subcommand is one row of the table COMMANDS: help text, flags in
+input order, and a handler that returns its outputs and provenance.
+build_parser() builds the argparse tree from the table, adding `--format`
+everywhere and `--vp` wherever the flags include `p`.  run() does the
+rest: the inputs block (the parsed flags unless a handler gives its own),
+`--vp` decoration, rendering, and the mapping of errors to exit codes.
+Handlers look library functions up through their modules at call time,
+so a test or tracer that replaces a module attribute reaches them.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from . import bounds, brauer, chowring, karpenko, valuation, verify
 from .errors import ConsistencyError
@@ -27,46 +37,62 @@ from .errors import ConsistencyError
 RECORD_FORMAT = "json-like-stable-schema"
 
 
+class UsageError(Exception):
+    """Flag combination errors detected after argparse."""
+
+
 @dataclass
-class OutputRecord:
-    command: str
-    inputs: dict
+class Result:
+    """What a handler computed; run() names, decorates and renders it."""
+
     outputs: dict
     provenance: list
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": {k: _fmt(v) for k, v in self.inputs.items()},
-            "outputs": {k: _fmt(v) for k, v in self.outputs.items()},
-            "provenance": list(self.provenance),
-        }
-        return json.dumps(payload, separators=(", ", ": "))
-
-    def to_text(self) -> str:
-        pairs = [(k, _fmt(v)) for k, v in self.inputs.items()]
-        pairs += [(k, _fmt(v)) for k, v in self.outputs.items()]
-        width = max(len(k) for k, _ in pairs)
-        lines = [f"{k:<{width}}  {v}" for k, v in pairs]
-        lines += [f"# {note}" for note in self.provenance]
-        return "\n".join(lines)
-
-
-@dataclass
-class CommandResult:
-    record: OutputRecord
-    prime: int | None = None
-    text: str | None = None  # overrides record.to_text() when set
+    inputs: dict | None = None  # None: the parsed flags, in table order
+    text: str | None = None  # replaces the aligned key/value text
     exit_code: int = 0
-    notes: list = field(default_factory=list)  # extra diagnostics for stderr
+    notes: tuple = ()  # diagnostics for stderr
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    flags: dict  # flag name -> add_argument keywords, in input order
+    handler: Callable[[argparse.Namespace], Result]
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     return str(value)
+
+
+def _record(command: str, inputs: dict, outputs: dict, provenance: list) -> str:
+    payload = {
+        "command": command,
+        "inputs": {k: _fmt(v) for k, v in inputs.items()},
+        "outputs": {k: _fmt(v) for k, v in outputs.items()},
+        "provenance": list(provenance),
+    }
+    return json.dumps(payload, separators=(", ", ": "))
+
+
+def _text(inputs: dict, outputs: dict, provenance: list) -> str:
+    pairs = [(k, _fmt(v)) for k, v in [*inputs.items(), *outputs.items()]]
+    width = max(len(k) for k, _ in pairs)
+    lines = [f"{k:<{width}}  {v}" for k, v in pairs]
+    lines += [f"# {note}" for note in provenance]
+    return "\n".join(lines)
+
+
+def _with_vp(outputs: dict, p: int) -> dict:
+    decorated = {}
+    for key, value in outputs.items():
+        decorated[key] = value
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+            decorated[f"vp({key})"] = valuation.vp(p, value)
+    return decorated
 
 
 def _csv_ints(text: str):
@@ -75,9 +101,8 @@ def _csv_ints(text: str):
     try:
         return tuple(int(chunk) for chunk in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+        msg = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _deg_res_pair(text: str):
@@ -85,83 +110,42 @@ def _deg_res_pair(text: str):
         deg, res = text.split(":")
         return (int(deg), int(res))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected DEGREE:RESIDUE (for example 2:1), got {text!r}"
-        ) from None
+        msg = f"expected DEGREE:RESIDUE (for example 2:1), got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
-def _add_vp_columns(record: OutputRecord, p: int):
-    decorated = {}
-    for key, value in record.outputs.items():
-        decorated[key] = value
-        if isinstance(value, bool) or not isinstance(value, int):
-            continue
-        if value >= 1:
-            decorated[f"vp({key})"] = valuation.vp(p, value)
-    record.outputs = decorated
+INT = {"type": int, "required": True}
+CSV = {"type": _csv_ints, "required": True}
 
 
-# --- subcommand handlers -------------------------------------------------
+_FACTORIAL_NOTES = {
+    "oracle": "sum of floor(n/p^i) over i >= 1",
+    "prime-power": "vp((p^n)!) = (p^n - 1)/(p - 1)",
+    "k-prime-power": "vp((k*p^n)!) = k * vp((p^n)!) for 1 <= k < p",
+    "misc": "vp((p^k(p^n - 1))!) = vp((p^(k+n))!) - vp((p^k)!) - n",
+}
 
 
-def _cmd_vp(args) -> CommandResult:
-    value = valuation.vp(args.p, args.n)
-    record = OutputRecord(
-        command="vp",
-        inputs={"p": args.p, "n": args.n},
-        outputs={"vp": value},
-        provenance=["vp = max e such that p^e divides n"],
-    )
-    return CommandResult(record, prime=args.p)
+def _vp_factorial(a) -> Result:
+    inputs = {"p": a.p, "method": a.method}
+    if a.method == "oracle":
+        value = valuation.vp_factorial_oracle(a.p, a.n)
+    elif a.method == "prime-power":
+        value = valuation.vp_factorial_prime_power(a.p, a.n)
+    else:
+        if a.k is None:
+            raise UsageError(f"--k is required for --method {a.method}")
+        inputs["k"] = a.k
+        if a.method == "misc":
+            value = valuation.vp_factorial_misc(a.p, a.k, a.n)
+        else:
+            value = valuation.vp_factorial_k_times_prime_power(a.p, a.k, a.n)
+    inputs["n"] = a.n
+    return Result({"vp": value}, [_FACTORIAL_NOTES[a.method]], inputs=inputs)
 
 
-def _cmd_vp_factorial(args) -> CommandResult:
-    method = args.method
-    inputs = {"p": args.p, "method": method}
-    if method == "oracle":
-        value = valuation.vp_factorial_oracle(args.p, args.n)
-        inputs["n"] = args.n
-        note = "sum of floor(n/p^i) over i >= 1"
-    elif method == "prime-power":
-        value = valuation.vp_factorial_prime_power(args.p, args.n)
-        inputs["n"] = args.n
-        note = "vp((p^n)!) = (p^n - 1)/(p - 1)"
-    elif method == "k-prime-power":
-        if args.k is None:
-            raise UsageError("--k is required for --method k-prime-power")
-        value = valuation.vp_factorial_k_times_prime_power(args.p, args.k, args.n)
-        inputs["k"] = args.k
-        inputs["n"] = args.n
-        note = "vp((k*p^n)!) = k * vp((p^n)!) for 1 <= k < p"
-    else:  # misc
-        if args.k is None:
-            raise UsageError("--k is required for --method misc")
-        value = valuation.vp_factorial_misc(args.p, args.k, args.n)
-        inputs["k"] = args.k
-        inputs["n"] = args.n
-        note = "vp((p^k(p^n - 1))!) = vp((p^(k+n))!) - vp((p^k)!) - n"
-    record = OutputRecord(
-        command="vp-factorial",
-        inputs=inputs,
-        outputs={"vp": value},
-        provenance=[note],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_multinomial(args) -> CommandResult:
-    value = valuation.multinomial(args.top, list(args.parts))
-    record = OutputRecord(
-        command="multinomial",
-        inputs={"top": args.top, "parts": ",".join(map(str, args.parts))},
-        outputs={"multinomial": value},
-        provenance=["top! / prod(part_i!), computed by iterated binomials"],
-    )
-    return CommandResult(record)
-
-
-def _cmd_segre_degree(args) -> CommandResult:
-    shape = chowring.RingShape(args.shape)
+def _segre_degree(a) -> Result:
+    shape = chowring.RingShape(a.shape)
     top_power = chowring.power(chowring.hyperplane_sum(shape), shape.dimension)
     expansion = chowring.point_degree(top_power)
     closed = chowring.segre_degree_closed_form(shape)
@@ -169,251 +153,80 @@ def _cmd_segre_degree(args) -> CommandResult:
         raise ConsistencyError(
             f"expansion {expansion} != closed form {closed} on shape {shape.bounds}"
         )
-    record = OutputRecord(
-        command="segre-degree",
-        inputs={"shape": ",".join(map(str, shape.bounds))},
-        outputs={
-            "expansion": expansion,
-            "closed_form": closed,
-            "agree": True,
-            "top_power_class": top_power.to_text(),
-        },
-        provenance=[
-            "expansion: coefficient of the point class in (l1+...+lm)^(sum d_i - m)",
-            "closed form: multinomial (sum d_i - m; d_1 - 1, ..., d_m - 1)",
-        ],
-    )
-    return CommandResult(record)
+    outputs = {"expansion": expansion, "closed_form": closed, "agree": True,
+               "top_power_class": top_power.to_text()}
+    return Result(outputs, [
+        "expansion: coefficient of the point class in (l1+...+lm)^(sum d_i - m)",
+        "closed form: multinomial (sum d_i - m; d_1 - 1, ..., d_m - 1)",
+    ])
 
 
-def _cmd_bound_general(args) -> CommandResult:
-    shape = bounds.AlgebraShape(args.shape, args.index, args.period)
+def _bound_general(a) -> Result:
+    shape = bounds.AlgebraShape(a.shape, a.index, a.period)
     report = bounds.general_bound(shape)
-    record = OutputRecord(
-        command="bound general",
-        inputs={
-            "shape": ",".join(map(str, shape.degrees)),
-            "index": args.index,
-            "period": args.period,
-        },
-        outputs={
-            "multinomial_factor": report.multinomial_factor,
-            "r": report.remainder,
-            "period_power": report.period_power,
-            "total": report.total,
-        },
-        provenance=list(report.provenance),
+    outputs = {"multinomial_factor": report.multinomial_factor, "r": report.remainder,
+               "period_power": report.period_power, "total": report.total}
+    inputs = {"shape": shape.degrees, "index": a.index, "period": a.period}
+    return Result(outputs, list(report.provenance), inputs=inputs)
+
+
+def _bound_prime_power(a) -> Result:
+    report = bounds.prime_power_bound(a.p, a.k, a.n)
+    outputs = {"p_part": report.p_part, "m": report.cofactor, "total": report.total}
+    return Result(outputs, list(report.provenance))
+
+
+def _bound_baseline(a) -> Result:
+    points = [bounds.BaselinePoint(deg, res) for deg, res in a.point]
+    return Result(
+        {"total": bounds.baseline_bound(points)},
+        ["prod (component degree)^(residue degree)"],
+        inputs={"points": ";".join(f"{deg}:{res}" for deg, res in a.point)},
     )
-    return CommandResult(record)
 
 
-def _cmd_bound_prime_power(args) -> CommandResult:
-    report = bounds.prime_power_bound(args.p, args.k, args.n)
-    record = OutputRecord(
-        command="bound prime-power",
-        inputs={"p": args.p, "k": args.k, "n": args.n},
-        outputs={
-            "p_part": report.p_part,
-            "m": report.cofactor,
-            "total": report.total,
-        },
-        provenance=list(report.provenance),
-    )
-    return CommandResult(record, prime=args.p)
+def _corestriction_cert(a) -> Result:
+    cert = karpenko.corestriction_certificate(a.p, a.r)
+    keys = ("codim", "observed_valuation", "lower_bound", "violated")
+    return Result({key: getattr(cert, key) for key in keys}, [
+        "codim = p^(r*p) - p^r - p - 1",
+        "observed valuation = r*p - r",
+        "violated = observed valuation < cycle-degree lower bound",
+    ])
 
 
-def _cmd_bound_baseline(args) -> CommandResult:
-    points = [bounds.BaselinePoint(deg, res) for deg, res in args.point]
-    total = bounds.baseline_bound(points)
-    record = OutputRecord(
-        command="bound baseline",
-        inputs={
-            "points": ";".join(f"{pt.component_degree}:{pt.residue_degree}" for pt in points)
-        },
-        outputs={"total": total},
-        provenance=["prod (component degree)^(residue degree)"],
-    )
-    return CommandResult(record)
+def _scenario(report: dict, provenance: list) -> Result:
+    keys = ("exponents_of_A_prime", "index_of_A", "index_of_A_prime")
+    return Result({key: report[key] for key in keys}, provenance)
 
 
-def _cmd_cofactor_m(args) -> CommandResult:
-    value = bounds.cofactor_m(args.p, args.k, args.n)
-    record = OutputRecord(
-        command="cofactor-m",
-        inputs={"p": args.p, "k": args.k, "n": args.n},
-        outputs={"m": value},
-        provenance=["m = (p^k(p^n - 1))! / ((p^n - 1)!)^(p^k) / p^(n(p^k - 1))"],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_bound_improvement(args) -> CommandResult:
-    improvement = bounds.bound_improvement(args.p, args.k, args.n)
-    record = OutputRecord(
-        command="bound improvement",
-        inputs={"p": args.p, "k": args.k, "n": args.n},
-        outputs={
-            "baseline": improvement.baseline,
-            "improved_p_part": improvement.improved_p_part,
-        },
-        provenance=["baseline = p^(n*p^k); improved p-part = p^(n(p^k - 1))"],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_karpenko_bound(args) -> CommandResult:
-    value = karpenko.karpenko_lower_bound(args.p, args.n, args.codim)
-    record = OutputRecord(
-        command="karpenko-bound",
-        inputs={"p": args.p, "n": args.n, "codim": args.codim},
-        outputs={"lower_bound": value},
-        provenance=[
-            "min({ i + n - vp(codim - i) : 0 <= i < codim } u { codim })"
-        ],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_corestriction_cert(args) -> CommandResult:
-    cert = karpenko.corestriction_certificate(args.p, args.r)
-    record = OutputRecord(
-        command="corestriction-cert",
-        inputs={"p": args.p, "r": args.r},
-        outputs={
-            "codim": cert.codim,
-            "observed_valuation": cert.observed_valuation,
-            "lower_bound": cert.lower_bound,
-            "violated": cert.violated,
-        },
-        provenance=[
-            "codim = p^(r*p) - p^r - p - 1",
-            "observed valuation = r*p - r",
-            "violated = observed valuation < cycle-degree lower bound",
-        ],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_proof_inequalities(args) -> CommandResult:
-    holds = karpenko.proof_inequalities(args.p, args.r)
-    aux = karpenko.auxiliary_inequalities(args.p, args.r)
-    record = OutputRecord(
-        command="proof-inequalities",
-        inputs={"p": args.p, "r": args.r},
-        outputs={
-            "holds": holds,
-            "pr_ge_r_plus_2": aux.pr_ge_r_plus_2,
-            "pr_ge_rp": aux.pr_ge_rp,
-        },
-        provenance=[
-            "symbolic certificate: window check for small i, valuation bound for large i",
-            "auxiliary comparisons p^r >= r+2 and p^r >= r*p evaluated exactly",
-        ],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_index_reduction(args) -> CommandResult:
-    target = brauer.BrauerVector(args.p, args.target)
-    fiber = brauer.BrauerVector(args.p, args.fiber)
-    value = brauer.index_reduction(target, fiber, args.d)
-    record = OutputRecord(
-        command="index-reduction",
-        inputs={
-            "p": args.p,
-            "target": ",".join(map(str, target.coords)),
-            "fiber": ",".join(map(str, fiber.coords)),
-            "d": args.d,
-        },
-        outputs={"index": value},
-        provenance=[
-            "gcd over i=1..p^d of (p^d/gcd(p^d, i)) * index(target + i*fiber)"
-        ],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_prop1(args) -> CommandResult:
-    report = brauer.prop1_scenario(args.p)
-    record = OutputRecord(
-        command="prop1",
-        inputs={"p": args.p},
-        outputs={
-            "exponents_of_A_prime": ",".join(map(str, report["exponents_of_A_prime"])),
-            "index_of_A": report["index_of_A"],
-            "index_of_A_prime": report["index_of_A_prime"],
-        },
-        provenance=[
-            "A has all exponents 1; A' has exponents 1,1,2,...,p-1",
-            "both indices over the function field of X_{p^2}(A); expected (p^2, p^p)",
-        ],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_prop1_table(args) -> CommandResult:
-    rows = brauer.prop1_case_table(args.p)
+def _prop1_table(a) -> Result:
+    rows = brauer.prop1_case_table(a.p)
     outputs = {"rows": len(rows)}
     for row in rows:
         outputs[f"term[{row['i']}]"] = row["term"]
         outputs[f"case[{row['i']}]"] = row["case"]
-    record = OutputRecord(
-        command="prop1-table",
-        inputs={"p": args.p},
-        outputs=outputs,
-        provenance=[
-            "term(i) = (p^2/gcd(p^2, i)) * index(A' + i*A) for i = 1..p^2",
-            "each term checked against its residue-case value",
-        ],
-    )
     header = ("i", "factor", "index", "term", "case")
-    cells = [header] + [
-        tuple(str(row[k]) for k in ("i", "factor", "index", "term", "case"))
-        for row in rows
-    ]
+    cells = [header] + [tuple(str(row[k]) for k in header) for row in rows]
     widths = [max(len(line[col]) for line in cells) for col in range(len(header))]
     text = "\n".join(
         "  ".join(f"{line[col]:<{widths[col]}}" for col in range(len(header))).rstrip()
         for line in cells
     )
-    return CommandResult(record, prime=args.p, text=text)
+    return Result(outputs, [
+        "term(i) = (p^2/gcd(p^2, i)) * index(A' + i*A) for i = 1..p^2",
+        "each term checked against its residue-case value",
+    ], text=text)
 
 
-def _cmd_prop2(args) -> CommandResult:
-    report = brauer.prop2_scenario(args.p, args.d, args.n)
-    record = OutputRecord(
-        command="prop2",
-        inputs={"p": args.p, "d": args.d, "n": args.n},
-        outputs={
-            "exponents_of_A_prime": ",".join(map(str, report["exponents_of_A_prime"])),
-            "index_of_A": report["index_of_A"],
-            "index_of_A_prime": report["index_of_A_prime"],
-        },
-        provenance=[
-            "A has all exponents 1; A' has exponents 1,2,...,n",
-            "both indices over the function field of X_{p^d}(A); expected (p^d, p^n)",
-        ],
-    )
-    return CommandResult(record, prime=args.p)
-
-
-def _cmd_verify(args) -> CommandResult:
-    names = None
-    if args.suite and not args.all:
-        names = list(args.suite)
-    results = verify.run_suites(names)
+def _verify(a) -> Result:
+    results = verify.run_suites(list(a.suite) if a.suite and not a.all else None)
     all_ok = all(res.ok for res in results)
     outputs = {}
     for res in results:
         status = "ok" if res.ok else f"FAIL ({len(res.failures)} failures)"
         outputs[res.name] = f"{status}, {res.checks} checks"
     outputs["overall"] = "ok" if all_ok else "FAIL"
-    record = OutputRecord(
-        command="verify",
-        inputs={"suites": ",".join(res.name for res in results)},
-        outputs=outputs,
-        provenance=["deterministic regression, oracle and invariant suites"],
-    )
     width = max(len(res.name) for res in results)
     lines = [
         f"{res.name:<{width}}  {len(res.failures):>3} failed  {res.checks:>5} checks  "
@@ -422,19 +235,129 @@ def _cmd_verify(args) -> CommandResult:
     ]
     passed = sum(1 for res in results if res.ok)
     lines.append(f"result: {'ok' if all_ok else 'FAIL'} ({passed}/{len(results)} suites)")
-    notes = []
-    for res in results:
-        notes.extend(f"{res.name}: {msg}" for msg in res.failures[:20])
-    return CommandResult(
-        record,
+    return Result(
+        outputs,
+        ["deterministic regression, oracle and invariant suites"],
+        inputs={"suites": ",".join(res.name for res in results)},
         text="\n".join(lines),
         exit_code=0 if all_ok else 3,
-        notes=notes,
+        notes=tuple(f"{res.name}: {msg}" for res in results for msg in res.failures[:20]),
     )
 
 
-class UsageError(Exception):
-    """Flag combination errors detected after argparse."""
+GROUP_HELP = {"bound": "splitting-field degree bounds"}
+
+COMMANDS = {
+    "vp": Command(
+        "p-adic valuation of an integer",
+        {"p": INT, "n": INT},
+        lambda a: Result({"vp": valuation.vp(a.p, a.n)}, ["vp = max e such that p^e divides n"]),
+    ),
+    "vp-factorial": Command(
+        "valuation of a factorial: Legendre oracle or a closed form",
+        {"p": INT, "method": {"choices": tuple(_FACTORIAL_NOTES), "default": "oracle"},
+         "n": INT, "k": {"type": int}},
+        _vp_factorial,
+    ),
+    "multinomial": Command(
+        "exact multinomial coefficient",
+        {"top": INT, "parts": CSV},
+        lambda a: Result(
+            {"multinomial": valuation.multinomial(a.top, list(a.parts))},
+            ["top! / prod(part_i!), computed by iterated binomials"],
+        ),
+    ),
+    "segre-degree": Command(
+        "Segre-image degree by ring expansion and closed form", {"shape": CSV}, _segre_degree
+    ),
+    "bound general": Command(
+        "etale bound from index and period",
+        {"shape": {**CSV, "help": "component degrees"}, "index": INT, "period": INT},
+        _bound_general,
+    ),
+    "bound prime-power": Command(
+        "p-power bound with its cofactor", {"p": INT, "k": INT, "n": INT}, _bound_prime_power
+    ),
+    "bound baseline": Command(
+        "a-priori bound, no index hypothesis",
+        {"point": {"type": _deg_res_pair, "action": "append", "required": True,
+                   "help": "DEGREE:RESIDUE, repeatable"}},
+        _bound_baseline,
+    ),
+    "bound improvement": Command(
+        "baseline p-power vs the index-aware p-part",
+        {"p": INT, "k": INT, "n": INT},
+        lambda a: Result(
+            bounds.bound_improvement(a.p, a.k, a.n)._asdict(),
+            ["baseline = p^(n*p^k); improved p-part = p^(n(p^k - 1))"],
+        ),
+    ),
+    "cofactor-m": Command(
+        "prime-to-p cofactor of the bound",
+        {"p": INT, "k": INT, "n": INT},
+        lambda a: Result(
+            {"m": bounds.cofactor_m(a.p, a.k, a.n)},
+            ["m = (p^k(p^n - 1))! / ((p^n - 1)!)^(p^k) / p^(n(p^k - 1))"],
+        ),
+    ),
+    "karpenko-bound": Command(
+        "cycle-degree valuation lower bound (direct loop)",
+        {"p": INT, "n": INT, "codim": INT},
+        lambda a: Result(
+            {"lower_bound": karpenko.karpenko_lower_bound(a.p, a.n, a.codim)},
+            ["min({ i + n - vp(codim - i) : 0 <= i < codim } u { codim })"],
+        ),
+    ),
+    "corestriction-cert": Command(
+        "numeric witness that a corestriction presentation fails", {"p": INT, "r": INT},
+        _corestriction_cert,
+    ),
+    "proof-inequalities": Command(
+        "symbolic (loop-free) version of the certificate",
+        {"p": INT, "r": INT},
+        lambda a: Result(
+            {"holds": karpenko.proof_inequalities(a.p, a.r),
+             **karpenko.auxiliary_inequalities(a.p, a.r)._asdict()},
+            [
+                "symbolic certificate: window check for small i, valuation bound for large i",
+                "auxiliary comparisons p^r >= r+2 and p^r >= r*p evaluated exactly",
+            ],
+        ),
+    ),
+    "index-reduction": Command(
+        "index over the function field of a generalized Severi-Brauer variety",
+        {"p": INT, "target": CSV, "fiber": CSV, "d": INT},
+        lambda a: Result(
+            {"index": brauer.index_reduction(brauer.BrauerVector(a.p, a.target),
+                                             brauer.BrauerVector(a.p, a.fiber), a.d)},
+            ["gcd over i=1..p^d of (p^d/gcd(p^d, i)) * index(target + i*fiber)"],
+        ),
+    ),
+    "prop1": Command(
+        "index-p^2 sharpness scenario",
+        {"p": INT},
+        lambda a: _scenario(brauer.prop1_scenario(a.p), [
+            "A has all exponents 1; A' has exponents 1,1,2,...,p-1",
+            "both indices over the function field of X_{p^2}(A); expected (p^2, p^p)",
+        ]),
+    ),
+    "prop1-table": Command("per-term case table of the prop1 gcd", {"p": INT}, _prop1_table),
+    "prop2": Command(
+        "index-p^d sharpness scenario (d < n < p)",
+        {"p": INT, "d": INT, "n": INT},
+        lambda a: _scenario(brauer.prop2_scenario(a.p, a.d, a.n), [
+            "A has all exponents 1; A' has exponents 1,2,...,n",
+            "both indices over the function field of X_{p^d}(A); expected (p^d, p^n)",
+        ]),
+    ),
+    "verify": Command(
+        "run the regression and oracle suites",
+        {"all": {"action": "store_true", "help": "run every suite (default)"},
+         "suite": {"action": "append", "choices": verify.suite_names(),
+                   "help": "run only the named suite(s), repeatable"}},
+        _verify,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,179 +369,35 @@ def build_parser() -> argparse.ArgumentParser:
             "cycle-degree certificates and index reduction."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, handler, help_text, prime_flag=False):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(handler=handler)
-        cmd.add_argument(
-            "--format",
-            choices=("text", RECORD_FORMAT),
-            default="text",
-            help="output rendering (default: aligned text)",
-        )
-        if prime_flag:
-            cmd.add_argument(
-                "--vp",
-                action="store_true",
-                help="also report the p-adic valuation of each numeric output",
-            )
-        return cmd
-
-    cmd = add("vp", _cmd_vp, "p-adic valuation of an integer", prime_flag=True)
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-
-    cmd = add(
-        "vp-factorial",
-        _cmd_vp_factorial,
-        "valuation of a factorial: Legendre oracle or a closed form",
-        prime_flag=True,
-    )
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument(
-        "--method",
-        choices=("oracle", "prime-power", "k-prime-power", "misc"),
-        default="oracle",
-    )
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--k", type=int)
-
-    cmd = add("multinomial", _cmd_multinomial, "exact multinomial coefficient")
-    cmd.add_argument("--top", type=int, required=True)
-    cmd.add_argument("--parts", type=_csv_ints, required=True)
-
-    cmd = add(
-        "segre-degree",
-        _cmd_segre_degree,
-        "Segre-image degree by ring expansion and closed form",
-    )
-    cmd.add_argument("--shape", type=_csv_ints, required=True)
-
-    bound = sub.add_parser("bound", help="splitting-field degree bounds")
-    bound_sub = bound.add_subparsers(dest="bound_command", required=True, metavar="kind")
-
-    def add_bound(name, handler, help_text, prime_flag=False):
-        cmd = bound_sub.add_parser(name, help=help_text)
-        cmd.set_defaults(handler=handler)
-        cmd.add_argument(
-            "--format", choices=("text", RECORD_FORMAT), default="text"
-        )
-        if prime_flag:
-            cmd.add_argument("--vp", action="store_true")
-        return cmd
-
-    cmd = add_bound("general", _cmd_bound_general, "etale bound from index and period")
-    cmd.add_argument("--shape", type=_csv_ints, required=True, help="component degrees")
-    cmd.add_argument("--index", type=int, required=True)
-    cmd.add_argument("--period", type=int, required=True)
-
-    cmd = add_bound(
-        "prime-power", _cmd_bound_prime_power, "p-power bound with its cofactor", prime_flag=True
-    )
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-
-    cmd = add_bound("baseline", _cmd_bound_baseline, "a-priori bound, no index hypothesis")
-    cmd.add_argument(
-        "--point",
-        type=_deg_res_pair,
-        action="append",
-        required=True,
-        help="DEGREE:RESIDUE, repeatable",
-    )
-
-    cmd = add_bound(
-        "improvement",
-        _cmd_bound_improvement,
-        "baseline p-power vs the index-aware p-part",
-        prime_flag=True,
-    )
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-
-    cmd = add("cofactor-m", _cmd_cofactor_m, "prime-to-p cofactor of the bound", prime_flag=True)
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-
-    cmd = add(
-        "karpenko-bound",
-        _cmd_karpenko_bound,
-        "cycle-degree valuation lower bound (direct loop)",
-        prime_flag=True,
-    )
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-    cmd.add_argument("--codim", type=int, required=True)
-
-    cmd = add(
-        "corestriction-cert",
-        _cmd_corestriction_cert,
-        "numeric witness that a corestriction presentation fails",
-        prime_flag=True,
-    )
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--r", type=int, required=True)
-
-    cmd = add(
-        "proof-inequalities",
-        _cmd_proof_inequalities,
-        "symbolic (loop-free) version of the certificate",
-        prime_flag=True,
-    )
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--r", type=int, required=True)
-
-    cmd = add(
-        "index-reduction",
-        _cmd_index_reduction,
-        "index over the function field of a generalized Severi-Brauer variety",
-        prime_flag=True,
-    )
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--target", type=_csv_ints, required=True)
-    cmd.add_argument("--fiber", type=_csv_ints, required=True)
-    cmd.add_argument("--d", type=int, required=True)
-
-    cmd = add("prop1", _cmd_prop1, "index-p^2 sharpness scenario", prime_flag=True)
-    cmd.add_argument("--p", type=int, required=True)
-
-    cmd = add(
-        "prop1-table", _cmd_prop1_table, "per-term case table of the prop1 gcd", prime_flag=True
-    )
-    cmd.add_argument("--p", type=int, required=True)
-
-    cmd = add("prop2", _cmd_prop2, "index-p^d sharpness scenario (d < n < p)", prime_flag=True)
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--d", type=int, required=True)
-    cmd.add_argument("--n", type=int, required=True)
-
-    cmd = add("verify", _cmd_verify, "run the regression and oracle suites")
-    cmd.add_argument("--all", action="store_true", help="run every suite (default)")
-    cmd.add_argument(
-        "--suite",
-        action="append",
-        choices=verify.suite_names(),
-        help="run only the named suite(s), repeatable",
-    )
-
+    # "" is the top level; a group such as "bound" gets its own level on first use.
+    levels = {"": parser.add_subparsers(required=True, metavar="command")}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in levels:
+            group_parser = levels[""].add_parser(group, help=GROUP_HELP[group])
+            levels[group] = group_parser.add_subparsers(required=True, metavar="kind")
+        cmd = levels[group].add_parser(leaf, help=command.help)
+        cmd.set_defaults(command=name)
+        cmd.add_argument("--format", choices=("text", RECORD_FORMAT), default="text",
+                         help="output rendering (default: aligned text)")
+        if "p" in command.flags:
+            cmd.add_argument("--vp", action="store_true",
+                             help="also report the p-adic valuation of each numeric output")
+        for flag, options in command.flags.items():
+            cmd.add_argument(f"--{flag}", **options)
     return parser
 
 
 def run(argv=None) -> int:
     """Parse and execute; returns the process exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
 
+    command = COMMANDS[args.command]
     try:
-        result = args.handler(args)
+        result = command.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -629,17 +408,21 @@ def run(argv=None) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
 
-    if result.prime is not None and getattr(args, "vp", False):
-        _add_vp_columns(result.record, result.prime)
+    inputs = result.inputs
+    if inputs is None:
+        inputs = {flag: getattr(args, flag) for flag in command.flags}
+    outputs = result.outputs
+    if getattr(args, "vp", False):
+        outputs = _with_vp(outputs, args.p)
 
     for note in result.notes:
         print(note, file=sys.stderr)
     if args.format == RECORD_FORMAT:
-        print(result.record.to_json())
+        print(_record(args.command, inputs, outputs, result.provenance))
     elif result.text is not None:
         print(result.text)
     else:
-        print(result.record.to_text())
+        print(_text(inputs, outputs, result.provenance))
     return result.exit_code
 
 

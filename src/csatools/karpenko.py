@@ -156,14 +156,10 @@ def proof_inequalities(p: int, r: int) -> bool:
     (b) v_p(k - i) < r + i for every i in [0, k-1], so no loop branch
         can either.
 
-    (b) splits: for i >= p^r + p + 1 it suffices that v_p(k - i) <= rp - 1
-    (true since 0 < k - i < p^{rp}) together with rp < r + p^r + p + 1,
-    which follows from p^r >= rp.  The window i < p^r + p + 1 is checked
-    term by term with exact arithmetic; the window has p^r + p + 1
-    entries no matter how large p^{rp} is.  Note the blanket bound
-    v_p(k - i) < r on that window fails at isolated i (already at p = 3,
-    r = 1, i = 2, where the valuation is 2), so the per-term check is
-    the correct tightening.
+    (b) needs no check for i >= rp - r: there 0 < k - i < p^{rp} gives
+    v_p(k - i) <= rp - 1 < rp <= r + i.  The remaining i < min(rp - r, k)
+    are checked term by term with exact arithmetic, so the work is at
+    most rp - r valuations no matter how large p^{rp} is.
     """
     p = int(Prime(p))
     if p == 2:
@@ -174,12 +170,7 @@ def proof_inequalities(p: int, r: int) -> bool:
     observed = r * p - r
 
     inequality_a = observed < k
-
-    # Large-i case: v_p(k - i) <= rp - 1 for all i, so this comparison
-    # settles every i >= p^r + p + 1 at once.
-    large_i_ok = r * p < r + p**r + p + 1
-
-    window = min(p**r + p + 1, k)
+    window = min(r * p - r, k)
     small_i_ok = all(vp(p, k - i) < r + i for i in range(window))
 
-    return inequality_a and large_i_ok and small_i_ok
+    return inequality_a and small_i_ok

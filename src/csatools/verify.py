@@ -415,7 +415,12 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suites(names: list[str] | None = None) -> list[SuiteResult]:
-    """Run the named suites (all of them by default), in fixed order."""
+    """Run the named suites (all of them by default), in fixed order.
+
+    An exception inside a suite is recorded as that suite's failure, so
+    the remaining suites still run and the caller sees an internal
+    failure rather than a domain error.
+    """
     if names is None:
         names = list(SUITE_ORDER)
     results = []
@@ -424,5 +429,8 @@ def run_suites(names: list[str] | None = None) -> list[SuiteResult]:
             raise ValueError(
                 f"unknown suite {name!r}; choose from {', '.join(SUITE_ORDER)}"
             )
-        results.append(_SUITES[name]())
+        try:
+            results.append(_SUITES[name]())
+        except Exception as exc:
+            results.append(SuiteResult(name, failures=[f"{type(exc).__name__}: {exc}"]))
     return results

@@ -1,4 +1,10 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from csatools import cli, verify
 from csatools.errors import ConsistencyError
@@ -257,6 +263,18 @@ class TestVerifyCommand:
         second = run_ok(capsys, argv)
         assert first == second
 
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_raising_suite_is_isolated(self, capsys, monkeypatch, error):
+        def broken():
+            raise error("forced for the test")
+
+        monkeypatch.setitem(verify._SUITES, "chow-laws", broken)
+        argv = ["verify", "--suite", "known-values", "--suite", "chow-laws"]
+        assert cli.run(argv + ["--suite", "bound-valuation"]) == 3
+        out, err = capsys.readouterr()
+        assert "result: FAIL (2/3 suites)" in out
+        assert f"chow-laws: {error.__name__}: forced for the test" in err
+
     def test_unknown_suite_rejected(self, capsys):
         assert cli.run(["verify", "--suite", "bogus"]) == 2
         capsys.readouterr()
@@ -265,3 +283,24 @@ class TestVerifyCommand:
         line = get_json(capsys, ["verify", "--suite", "known-values"])
         record = json.loads(line)
         assert record["outputs"]["overall"] == "ok"
+
+
+class TestProcessEntryPoint:
+    def test_python_dash_m(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "csatools", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        ok = run("vp", "--p", "3", "--n", "18")
+        assert ok.returncode == 0, ok.stderr
+        assert "vp  2" in ok.stdout.splitlines()
+        assert run("not-a-command").returncode == 2
+        composite = run("vp", "--p", "6", "--n", "18")
+        assert composite.returncode == 1
+        assert "not a prime" in composite.stderr

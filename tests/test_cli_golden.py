@@ -1,0 +1,145 @@
+"""Golden CLI runs: full stdout, stderr and exit code, byte for byte.
+
+Covers every README example in both output formats, `--vp` on every
+subcommand that takes a prime, the per-command input quirks, and one
+invocation per error class.  The expected bytes in `cli_golden.json`
+were captured from the CLI as it stood before its command table was
+introduced, so any rendering drift shows here as a failure.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from csatools import cli, verify
+from csatools.errors import ConsistencyError
+
+README_EXAMPLES = [
+    "vp --p 3 --n 18",
+    "vp-factorial --p 3 --method oracle --n 9",
+    "vp-factorial --p 3 --method misc --k 2 --n 1",
+    "multinomial --top 6 --parts 2,2,2",
+    "segre-degree --shape 3,3,3",
+    "bound general --shape 3,3,3 --index 3 --period 3",
+    "bound prime-power --p 3 --k 1 --n 1",
+    "bound baseline --point 2:1 --point 2:1",
+    "bound improvement --p 3 --k 1 --n 1",
+    "cofactor-m --p 3 --k 1 --n 2",
+    "karpenko-bound --p 3 --n 3 --codim 20",
+    "corestriction-cert --p 3 --r 1",
+    "proof-inequalities --p 7 --r 5",
+    "index-reduction --p 3 --target 1,1,2 --fiber 1,1,1 --d 2",
+    "prop1 --p 5",
+    "prop1-table --p 3",
+    "prop2 --p 5 --d 2 --n 3",
+    "verify --all",
+    "verify --suite segre-degree",
+]
+
+# Inputs whose record differs from the flags as typed.
+INPUT_SHAPES = [
+    "vp-factorial --p 3 --method oracle --n 9 --k 2",
+    "vp-factorial --p 3 --method prime-power --n 2",
+    "vp-factorial --p 3 --method k-prime-power --k 2 --n 2",
+    "bound general --shape 4,2,3 --index 6 --period 3",
+    "bound baseline --point 3:2",
+    "multinomial --top 0 --parts ",
+    "verify --suite chow-laws --suite known-values",
+]
+
+VP_CASES = [
+    "vp --p 3 --n 18 --vp",
+    "vp --p 3 --n 5 --vp",
+    "vp-factorial --p 3 --method misc --k 2 --n 1 --vp",
+    "bound prime-power --p 3 --k 1 --n 1 --vp",
+    "bound improvement --p 3 --k 1 --n 1 --vp",
+    "cofactor-m --p 3 --k 1 --n 2 --vp",
+    "karpenko-bound --p 3 --n 3 --codim 20 --vp",
+    "corestriction-cert --p 3 --r 1 --vp",
+    "proof-inequalities --p 7 --r 5 --vp",
+    "index-reduction --p 3 --target 1,1,2 --fiber 1,1,1 --d 2 --vp",
+    "prop1 --p 5 --vp",
+    "prop1-table --p 3 --vp",
+    "prop2 --p 5 --d 2 --n 3 --vp",
+]
+
+ERROR_CASES = [
+    # exit 1: domain errors
+    "vp --p 6 --n 18",
+    "vp --p 3 --n 0",
+    "corestriction-cert --p 2 --r 1",
+    # exit 2: usage errors, from argparse and after it
+    "vp-factorial --p 3 --method misc --n 1",
+    "vp-factorial --p 3 --method k-prime-power --n 1",
+    "multinomial --top 2 --parts 1,1 --vp",
+    "segre-degree --shape 2,x",
+    "bound baseline --point 2-1",
+    "bound",
+    "not-a-command",
+    "vp --p 3",
+    "vp --p x --n 1",
+    "verify --suite bogus",
+    "",
+]
+
+CASES = [
+    case + fmt
+    for case in README_EXAMPLES + INPUT_SHAPES + VP_CASES
+    for fmt in ("", f" --format {cli.RECORD_FORMAT}")
+] + ERROR_CASES
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+def _argv(case: str) -> list:
+    """Split on single spaces, so `--parts ` passes an empty value."""
+    return case.split(" ") if case else []
+
+
+@pytest.fixture(scope="module")
+def suite_results():
+    return {}
+
+
+@pytest.fixture(autouse=True)
+def _stable_run(monkeypatch, suite_results):
+    """Fixed help width, default budget, and each verify selection computed once."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("CSATOOLS_ITERATION_BUDGET", raising=False)
+    real = verify.run_suites
+
+    def cached(names=None):
+        key = None if names is None else tuple(names)
+        if key not in suite_results:
+            suite_results[key] = real(names)
+        return suite_results[key]
+
+    monkeypatch.setattr(cli.verify, "run_suites", cached)
+
+
+def _capture(capsys, argv):
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    return {"exit": code, "stdout": out, "stderr": err}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden(capsys, case):
+    assert _capture(capsys, _argv(case)) == GOLDEN[case]
+
+
+def test_golden_covers_every_case():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+def test_consistency_failure_is_exit_3(capsys, monkeypatch):
+    def broken(p, k, n):
+        raise ConsistencyError("forced for the golden test")
+
+    monkeypatch.setattr(cli.bounds, "prime_power_bound", broken)
+    got = _capture(capsys, _argv("bound prime-power --p 3 --k 1 --n 1"))
+    assert got == {
+        "exit": 3,
+        "stdout": "",
+        "stderr": "internal consistency failure: forced for the golden test\n",
+    }

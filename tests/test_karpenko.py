@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from csatools import karpenko
 from csatools.karpenko import (
     auxiliary_inequalities,
     corestriction_certificate,
@@ -18,6 +19,15 @@ def minimum_by_definition(p, n, k):
     for i in range(k):
         candidates.add(i + n - vp(p, k - i))
     return min(candidates)
+
+
+def proof_inequalities_full_window(p, r):
+    """The symbolic route with its earlier, wider window of p^r + p + 1 terms."""
+    k = p ** (r * p) - p**r - p - 1
+    observed = r * p - r
+    large_i_ok = r * p < r + p**r + p + 1
+    small_i_ok = all(vp(p, k - i) < r + i for i in range(min(p**r + p + 1, k)))
+    return observed < k and large_i_ok and small_i_ok
 
 
 class TestLowerBound:
@@ -116,8 +126,25 @@ class TestSymbolicRoute:
             assert proof_inequalities(p, r) == corestriction_certificate(p, r).violated
 
     def test_reaches_loop_infeasible_ranges(self):
-        for p, r in [(3, 6), (5, 4), (7, 2), (7, 5), (11, 2), (13, 1)]:
+        for p, r in [(3, 6), (3, 18), (5, 4), (7, 2), (7, 5), (11, 2), (13, 1), (101, 3)]:
             assert proof_inequalities(p, r) is True
+
+    def test_checks_at_most_rp_minus_r_terms(self, monkeypatch):
+        calls = []
+
+        def counting_vp(p, n):
+            calls.append(n)
+            return vp(p, n)
+
+        monkeypatch.setattr(karpenko, "vp", counting_vp)
+        assert proof_inequalities(7, 5) is True
+        assert len(calls) <= 7 * 5 - 5
+
+    def test_matches_full_window_reference(self):
+        for p in (3, 5, 7, 11, 13):
+            for r in range(1, 8):
+                if p**r <= 3 * 10**4:
+                    assert proof_inequalities(p, r) == proof_inequalities_full_window(p, r)
 
     def test_refuses_p2(self):
         with pytest.raises(ValueError, match="odd"):
