@@ -7,7 +7,7 @@ Five computation modules and a CLI:
 * chowring: Z[l1,...,lm]/(l_i^{d_i}) and Segre-image degrees two ways;
 * bounds: splitting-field degree bounds (general, prime-power, baseline);
 * karpenko: cycle-degree lower bounds and corestriction-impossibility
-  certificates, by loop and symbolically;
+  certificates, in closed form and symbolically;
 * brauer: generic Brauer classes mod p and index-reduction gcds.
 
 All arithmetic is exact (Python big integers); there is no floating

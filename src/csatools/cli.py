@@ -128,6 +128,8 @@ _FACTORIAL_NOTES = {
 
 def _vp_factorial(a) -> Result:
     inputs = {"p": a.p, "method": a.method}
+    if a.method in ("oracle", "prime-power") and a.k is not None:
+        raise UsageError(f"--k is not used by --method {a.method}")
     if a.method == "oracle":
         value = valuation.vp_factorial_oracle(a.p, a.n)
     elif a.method == "prime-power":
@@ -301,7 +303,7 @@ COMMANDS = {
         ),
     ),
     "karpenko-bound": Command(
-        "cycle-degree valuation lower bound (direct loop)",
+        "cycle-degree valuation lower bound (closed form)",
         {"p": INT, "n": INT, "codim": INT},
         lambda a: Result(
             {"lower_bound": karpenko.karpenko_lower_bound(a.p, a.n, a.codim)},
@@ -417,12 +419,17 @@ def run(argv=None) -> int:
 
     for note in result.notes:
         print(note, file=sys.stderr)
-    if args.format == RECORD_FORMAT:
-        print(_record(args.command, inputs, outputs, result.provenance))
-    elif result.text is not None:
-        print(result.text)
-    else:
-        print(_text(inputs, outputs, result.provenance))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # outputs print in full; flags were parsed under the cap
+    try:
+        if args.format == RECORD_FORMAT:
+            print(_record(args.command, inputs, outputs, result.provenance))
+        elif result.text is not None:
+            print(result.text)
+        else:
+            print(_text(inputs, outputs, result.provenance))
+    finally:
+        sys.set_int_max_str_digits(saved)
     return result.exit_code
 
 

@@ -6,73 +6,55 @@ variety is at least
 
     min( { i + n - v_p(k - i) : i = 0, ..., k-1 } u { k } ).
 
-karpenko_lower_bound evaluates that minimum by direct iteration (the
-oracle route).  corestriction_certificate instantiates it for a
+karpenko_lower_bound evaluates that minimum in closed form, in
+O(log k) steps.  corestriction_certificate instantiates it for a
 hypothetical presentation of the algebra as a corestriction from a
 degree-p extension: such a presentation would produce a subvariety of
 codimension p^{rp} - p^r - p - 1 whose degree has valuation exactly
 rp - r, and the certificate records that this undershoots the lower
 bound.  proof_inequalities establishes the same violation symbolically,
-with no minimization loop, so it also covers parameter ranges where the
-loop is infeasible.
+with no minimization at all, checking at most rp - r valuations.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .valuation import Prime, vp
 
-DEFAULT_ITERATION_BUDGET = 10**7
-BUDGET_ENV_VAR = "CSATOOLS_ITERATION_BUDGET"
+# corestriction_certificate refuses p^{rp} beyond this many bits (estimated
+# as r*p*bit_length(p)): it bounds the memory and the decimal rendering.
+CERTIFICATE_BIT_LIMIT = 2**18
 
 
-def iteration_budget(budget: int | None = None) -> int:
-    """Resolve the loop budget: explicit arg, else env var, else default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_ITERATION_BUDGET
+def karpenko_lower_bound(p: int, n: int, codim: int) -> int:
+    """min({ i + n - v_p(codim - i) } u { codim }) in closed form.
 
+    Write j = codim - i.  A candidate with v_p(j) = v is at least
+    (codim mod p^v) + n - v, and j = codim - (codim mod p^v) reaches at
+    most that, so the minimum is
 
-def karpenko_lower_bound(
-    p: int, n: int, codim: int, budget: int | None = None
-) -> int:
-    """min({ i + n - v_p(codim - i) } u { codim }) by direct iteration.
+        min(codim, min over p^v <= codim of (codim mod p^v) + n - v).
 
-    codim beyond the iteration budget is rejected with a clean message;
-    raise the budget (argument or CSATOOLS_ITERATION_BUDGET) to go
-    further, or use the symbolic route where available.
+    codim mod p^v is built from the p-adic digits of codim, lowest first.
+    It never decreases, and n - v > n - codim.bit_length(), so the walk
+    stops as soon as no later v can beat the best value so far.
     """
     p = int(Prime(p))
     if n < 1:
         raise ValueError(f"degree exponent must be positive, got {n}")
     if codim < 1:
         raise ValueError(f"codimension must be positive, got {codim}")
-    limit = iteration_budget(budget)
-    if codim > limit:
-        raise ValueError(
-            f"codimension {codim} exceeds the iteration budget {limit}"
-        )
     best = codim
-    for i in range(codim):
-        t = codim - i
-        v = 0
-        while t % p == 0:
-            t //= p
-            v += 1
-        cand = i + n - v
-        if cand < best:
-            best = cand
+    floor = n - codim.bit_length()  # below n - v for every v with p^v <= codim
+    rem, high, pv, v = 0, codim, 1, 0  # rem = codim mod p^v, high = codim // p^v
+    while high and rem + floor < best:
+        best = min(best, rem + n - v)
+        high, digit = divmod(high, p)
+        rem += digit * pv
+        pv *= p
+        v += 1
     return best
 
 
@@ -94,10 +76,8 @@ class CorestrictionCertificate:
     violated: bool
 
 
-def corestriction_certificate(
-    p: int, r: int, budget: int | None = None
-) -> CorestrictionCertificate:
-    """Loop-evaluated certificate for the degree-p^{rp}, period-p case."""
+def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
+    """Closed-form certificate for the degree-p^{rp}, period-p case."""
     p = int(Prime(p))
     if p == 2:
         raise ValueError(
@@ -107,15 +87,14 @@ def corestriction_certificate(
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     n = r * p  # inner degree p^r over a degree-p extension; s = 1
-    codim = p ** (r * p) - p**r - p - 1
-    limit = iteration_budget(budget)
-    if codim > limit:
+    if n * p.bit_length() > CERTIFICATE_BIT_LIMIT:
         raise ValueError(
-            f"p^(r*p) = {p ** (r * p)} puts codimension {codim} beyond the "
-            f"iteration budget {limit}; use proof_inequalities for this range"
+            f"p^(r*p) would have up to {n * p.bit_length()} bits, beyond the "
+            f"certificate limit of {CERTIFICATE_BIT_LIMIT} bits"
         )
+    codim = p**n - p**r - p - 1
     observed = r * p - r
-    lower = karpenko_lower_bound(p, n, codim, budget=limit)
+    lower = karpenko_lower_bound(p, n, codim)
     return CorestrictionCertificate(
         p=p,
         r=r,

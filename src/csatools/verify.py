@@ -7,9 +7,10 @@ randomness is seeded) and sized for desk-scale runtimes, so `verify
 --all` doubles as a smoke test of the whole package.
 
 This module also hosts karpenko_lower_bound_grouped, a structurally
-different re-implementation of the cycle-bound minimum (grouped by
-valuation class instead of iterating forward), kept here rather than in
-the library proper so the two routes stay independent.
+different re-implementation of the cycle-bound minimum (the largest
+term of each valuation class instead of the library's walk over the
+p-adic digits of the codimension), kept here rather than in the library
+proper so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -292,18 +293,18 @@ def suite_bound_valuation() -> SuiteResult:
 
 
 def suite_karpenko_certificates() -> SuiteResult:
-    """Loop certificates vs the symbolic route, plus the grouped oracle."""
+    """Closed-form certificates vs the symbolic route, plus the grouped oracle."""
     r = SuiteResult("karpenko-certificates")
     sweep_cap = 10**7
     for p in (3, 5, 7):
         rr = 1
         while p ** (rr * p) <= sweep_cap:
-            cert = karpenko.corestriction_certificate(p, rr, budget=sweep_cap)
+            cert = karpenko.corestriction_certificate(p, rr)
             r.expect_true(cert.violated, f"certificate violated p={p},r={rr}")
             r.expect(
                 karpenko.proof_inequalities(p, rr),
                 cert.violated,
-                f"symbolic vs loop p={p},r={rr}",
+                f"symbolic vs closed form p={p},r={rr}",
             )
             r.expect(
                 cert.codim,
@@ -315,7 +316,7 @@ def suite_karpenko_certificates() -> SuiteResult:
             )
             rr += 1
 
-    # the symbolic route keeps working far beyond the loop budget
+    # the symbolic route on its own, past the sweep above
     for p, rr in ((3, 5), (5, 3), (7, 5), (11, 2), (13, 1)):
         r.expect_true(karpenko.proof_inequalities(p, rr), f"symbolic only p={p},r={rr}")
 
@@ -324,10 +325,10 @@ def suite_karpenko_certificates() -> SuiteResult:
     grid += [(rng.choice((2, 3, 5)), rng.randrange(1, 6), rng.randrange(1, 4000)) for _ in range(40)]
     grid += [(3, 3, 20), (5, 5, 3114), (3, 6, 716)]
     for p, n, k in grid:
-        forward = karpenko.karpenko_lower_bound(p, n, k)
+        closed = karpenko.karpenko_lower_bound(p, n, k)
         grouped = karpenko_lower_bound_grouped(p, n, k)
-        r.expect(forward, grouped, f"iteration orders p={p},n={n},k={k}")
-        r.expect_true(forward <= k, f"bound <= codim p={p},n={n},k={k}")
+        r.expect(closed, grouped, f"closed form vs grouped p={p},n={n},k={k}")
+        r.expect_true(closed <= k, f"bound <= codim p={p},n={n},k={k}")
 
     aux = karpenko.auxiliary_inequalities
     r.expect(tuple(aux(3, 1)), (True, True), "auxiliary (3,1)")

@@ -3,10 +3,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from csatools import cli, verify
+from csatools import bounds, cli, karpenko, verify
 from csatools.errors import ConsistencyError
 
 
@@ -62,6 +63,14 @@ class TestBasicCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert "--k" in captured.err
+
+    def test_vp_factorial_unused_k_is_usage_error(self, capsys):
+        for method in ("oracle", "prime-power"):
+            code = cli.run(["vp-factorial", "--p", "3", "--method", method, "--n", "9", "--k", "2"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"usage error: --k is not used by --method {method}\n"
 
     def test_multinomial(self, capsys):
         out = run_ok(capsys, ["multinomial", "--top", "6", "--parts", "2,2,2"])
@@ -171,13 +180,13 @@ class TestExitCodes:
         assert cli.run(["segre-degree", "--shape", "2,x"]) == 2
         capsys.readouterr()
 
-    def test_budget_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("CSATOOLS_ITERATION_BUDGET", "10")
-        assert cli.run(["karpenko-bound", "--p", "3", "--n", "3", "--codim", "20"]) == 1
-        assert "budget" in capsys.readouterr().err
-        monkeypatch.setenv("CSATOOLS_ITERATION_BUDGET", "25")
-        assert cli.run(["karpenko-bound", "--p", "3", "--n", "3", "--codim", "20"]) == 0
-        capsys.readouterr()
+    def test_oversized_certificate_is_rejected_quickly(self, capsys):
+        started = time.perf_counter()
+        code = cli.run(["corestriction-cert", "--p", "3", "--r", "1000000000"])
+        elapsed = time.perf_counter() - started
+        assert code == 1
+        assert "limit" in capsys.readouterr().err
+        assert elapsed < 0.5
 
     def test_internal_inconsistency_is_exit_3(self, capsys, monkeypatch):
         def broken(p, k, n):
@@ -230,6 +239,59 @@ class TestStructuredOutput:
         line = get_json(capsys, ["proof-inequalities", "--p", "3", "--r", "2"])
         record = json.loads(line)
         assert record["outputs"]["holds"] == "true"
+
+
+def _full_decimal(value: int) -> str:
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestLongOutputs:
+    """Outputs past Python's 4,300-digit int-to-str cap print in full."""
+
+    def run_record(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        outputs = json.loads(get_json(capsys, argv))["outputs"]
+        assert sys.get_int_max_str_digits() == limit
+        return outputs
+
+    def test_prime_power_bound(self, capsys):
+        report = bounds.prime_power_bound(7, 2, 3)
+        outputs = self.run_record(capsys, ["bound", "prime-power", "--p", "7", "--k", "2", "--n", "3"])
+        assert len(outputs["total"]) > 4300
+        assert outputs["total"] == _full_decimal(report.total)
+        assert outputs["m"] == _full_decimal(report.cofactor)
+
+    def test_cofactor_with_vp(self, capsys):
+        m = bounds.cofactor_m(5, 2, 5)
+        outputs = self.run_record(capsys, ["cofactor-m", "--p", "5", "--k", "2", "--n", "5", "--vp"])
+        assert len(outputs["m"]) > 4300
+        assert outputs == {"m": _full_decimal(m), "vp(m)": "0"}
+
+    def test_large_certificate(self, capsys):
+        cert = karpenko.corestriction_certificate(3, 10000)
+        outputs = self.run_record(capsys, ["corestriction-cert", "--p", "3", "--r", "10000"])
+        assert len(outputs["codim"]) > 4300
+        assert outputs["codim"] == _full_decimal(cert.codim)
+        assert outputs["lower_bound"] == str(cert.lower_bound)
+        assert outputs["violated"] == "true"
+
+    def test_text_format_and_restored_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        pairs = run_pairs(capsys, ["bound", "prime-power", "--p", "7", "--k", "2", "--n", "3"])
+        assert sys.get_int_max_str_digits() == limit
+        assert pairs["total"] == _full_decimal(bounds.prime_power_bound(7, 2, 3).total)
+
+    def test_long_flag_is_still_a_usage_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        codim = "1" + "0" * 4300
+        assert cli.run(["karpenko-bound", "--p", "2", "--n", "1", "--codim", codim]) == 2
+        assert "--codim" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestVpFlag:

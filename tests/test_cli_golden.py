@@ -4,7 +4,9 @@ Covers every README example in both output formats, `--vp` on every
 subcommand that takes a prime, the per-command input quirks, and one
 invocation per error class.  The expected bytes in `cli_golden.json`
 were captured from the CLI as it stood before its command table was
-introduced, so any rendering drift shows here as a failure.
+introduced, so any rendering drift shows here as a failure.  The two
+`vp-factorial --method oracle ... --k 2` cases were re-captured when an
+unused `--k` became a usage error.
 """
 
 import json
@@ -103,9 +105,8 @@ def suite_results():
 
 @pytest.fixture(autouse=True)
 def _stable_run(monkeypatch, suite_results):
-    """Fixed help width, default budget, and each verify selection computed once."""
+    """Fixed help width, and each verify selection computed once."""
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("CSATOOLS_ITERATION_BUDGET", raising=False)
     real = verify.run_suites
 
     def cached(names=None):

@@ -60,22 +60,11 @@ class TestLowerBound:
                 for k in range(1, 120):
                     assert karpenko_lower_bound(p, n, k) <= k
 
-    def test_budget_rejection(self):
-        with pytest.raises(ValueError, match="budget"):
-            karpenko_lower_bound(3, 3, 10**7 + 1)
-        with pytest.raises(ValueError, match="budget"):
-            karpenko_lower_bound(3, 3, 100, budget=50)
-        assert karpenko_lower_bound(3, 3, 100, budget=100) == karpenko_lower_bound_grouped(
-            3, 3, 100
-        )
-
-    def test_budget_env_var(self, monkeypatch):
-        monkeypatch.setenv("CSATOOLS_ITERATION_BUDGET", "10")
-        with pytest.raises(ValueError, match="budget"):
-            karpenko_lower_bound(3, 3, 100)
-        monkeypatch.setenv("CSATOOLS_ITERATION_BUDGET", "not-a-number")
-        with pytest.raises(ValueError, match="CSATOOLS_ITERATION_BUDGET"):
-            karpenko_lower_bound(3, 3, 100)
+    def test_answers_codims_past_ten_million(self):
+        for codim in (10**7 + 1, 10**30):
+            assert karpenko_lower_bound(3, 3, codim) == karpenko_lower_bound_grouped(
+                3, 3, codim
+            )
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -115,9 +104,19 @@ class TestCertificate:
         with pytest.raises(ValueError, match="odd"):
             corestriction_certificate(2, 1)
 
-    def test_budget_guard(self):
-        with pytest.raises(ValueError, match="budget"):
-            corestriction_certificate(7, 2)  # 7^14 is far beyond 10^7
+    def test_p7_r2(self):
+        cert = corestriction_certificate(7, 2)  # codimension about 6.8 * 10^11
+        assert cert.codim == 7**14 - 7**2 - 7 - 1
+        assert cert.violated
+        assert cert.violated == proof_inequalities(7, 2)
+
+    def test_bit_limit_boundary(self):
+        # p^(r*p) is estimated at r * p * bit_length(p) bits
+        for p in (3, 101):
+            r = karpenko.CERTIFICATE_BIT_LIMIT // (p * p.bit_length())
+            assert corestriction_certificate(p, r).violated
+            with pytest.raises(ValueError, match="limit"):
+                corestriction_certificate(p, r + 1)
 
 
 class TestSymbolicRoute:

@@ -1,0 +1,45 @@
+"""Randomized differential tests of the closed-form cycle bound.
+
+The library's karpenko_lower_bound is checked against the literal
+minimum for small codimensions and against the grouped route in verify
+for codimensions up to 10^40.  The shapes p^e * m and p^e - m put long
+runs of zero or p - 1 digits at the low end of codim, where the early
+exit of the digit walk fires late or never.  The profile is
+derandomized, so every run draws the same examples.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from csatools.karpenko import karpenko_lower_bound
+from csatools.verify import karpenko_lower_bound_grouped
+from test_karpenko import minimum_by_definition
+
+PRIMES = st.sampled_from((2, 3, 5, 7, 11))
+FIXED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+@st.composite
+def large_codims(draw):
+    p = draw(PRIMES)
+    shape = draw(st.sampled_from(("plain", "times", "minus")))
+    if shape == "plain":
+        codim = draw(st.integers(1, 10**40))
+    else:
+        e = draw(st.integers(1, 132 if p == 2 else 40))
+        m = draw(st.integers(0, 10**6))
+        codim = p**e * max(m, 1) if shape == "times" else p**e - m
+    return p, max(codim, 1)
+
+
+@FIXED
+@given(PRIMES, st.integers(1, 12), st.integers(1, 3000))
+def test_matches_definition(p, n, codim):
+    assert karpenko_lower_bound(p, n, codim) == minimum_by_definition(p, n, codim)
+
+
+@FIXED
+@given(large_codims(), st.integers(1, 200))
+def test_matches_grouped_route(case, n):
+    p, codim = case
+    assert karpenko_lower_bound(p, n, codim) == karpenko_lower_bound_grouped(p, n, codim)
