@@ -12,15 +12,12 @@ Three bounds live here:
   factorial formula;
 * the a-priori baseline prod (deg A_q)^{[F(q):F]} that requires no index
   hypothesis at all.
-
-Every report carries each factor separately so the CLI can label where
-the total came from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConsistencyError
@@ -83,7 +80,6 @@ class BoundReport:
     total: int
     p_part: int | None = None
     cofactor: int | None = None
-    provenance: tuple[str, ...] = field(default=())
 
 
 def general_bound(shape: AlgebraShape) -> BoundReport:
@@ -99,13 +95,17 @@ def general_bound(shape: AlgebraShape) -> BoundReport:
         remainder=r,
         period_power=period_power,
         total=mult * period_power,
-        provenance=(
-            f"multinomial ({top}; {', '.join(str(d - 1) for d in degrees)})",
-            f"r = {top} mod {shape.index} = {r}",
-            f"period_power = {shape.period}^{r}",
-            "total = multinomial_factor * period_power",
-        ),
     )
+
+
+def _prime_power_instance(p: int, k: int, n: int) -> Prime:
+    """Check (p, k, n) for the prime-power bounds; return p as a Prime."""
+    p = Prime(p)
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return p
 
 
 def cofactor_m(p: int, k: int, n: int) -> int:
@@ -115,11 +115,7 @@ def cofactor_m(p: int, k: int, n: int) -> int:
     itself is wrong, so that raises ConsistencyError rather than
     ValueError.
     """
-    p = Prime(p)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    p = _prime_power_instance(p, k, n)
     pk = p**k
     pn = p**n
     numerator = math.factorial(pk * (pn - 1))
@@ -138,11 +134,7 @@ def prime_power_bound(p: int, k: int, n: int) -> BoundReport:
     Verifies gcd(m, p) = 1 and v_p(total) = n(p^k - 1) before returning;
     either failing would mean the closed forms disagree with themselves.
     """
-    p = Prime(p)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    p = _prime_power_instance(p, k, n)
     pk = p**k
     p_part = p ** (n * (pk - 1))
     m = cofactor_m(p, k, n)
@@ -160,11 +152,6 @@ def prime_power_bound(p: int, k: int, n: int) -> BoundReport:
         total=total,
         p_part=p_part,
         cofactor=m,
-        provenance=(
-            f"p_part = {p}^({n}*({p}^{k} - 1))",
-            f"cofactor = ({p}^{k}*({p}^{n} - 1))! / (({p}^{n} - 1)!)^({p}^{k}) / p_part",
-            "total = p_part * cofactor",
-        ),
     )
 
 
@@ -193,11 +180,7 @@ def bound_improvement(p: int, k: int, n: int) -> BoundImprovement:
     The improved p-part times p^n always reproduces the baseline; this is
     re-checked on every call.
     """
-    p = Prime(p)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    p = _prime_power_instance(p, k, n)
     pk = p**k
     baseline = p ** (n * pk)
     improved = p ** (n * (pk - 1))

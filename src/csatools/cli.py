@@ -166,16 +166,27 @@ def _segre_degree(a) -> Result:
 def _bound_general(a) -> Result:
     shape = bounds.AlgebraShape(a.shape, a.index, a.period)
     report = bounds.general_bound(shape)
-    outputs = {"multinomial_factor": report.multinomial_factor, "r": report.remainder,
+    r, top = report.remainder, sum(shape.degrees) - len(shape.degrees)
+    outputs = {"multinomial_factor": report.multinomial_factor, "r": r,
                "period_power": report.period_power, "total": report.total}
     inputs = {"shape": shape.degrees, "index": a.index, "period": a.period}
-    return Result(outputs, list(report.provenance), inputs=inputs)
+    return Result(outputs, [
+        f"multinomial ({top}; {', '.join(str(d - 1) for d in shape.degrees)})",
+        f"r = {top} mod {a.index} = {r}",
+        f"period_power = {a.period}^{r}",
+        "total = multinomial_factor * period_power",
+    ], inputs=inputs)
 
 
 def _bound_prime_power(a) -> Result:
-    report = bounds.prime_power_bound(a.p, a.k, a.n)
+    p, k, n = a.p, a.k, a.n
+    report = bounds.prime_power_bound(p, k, n)
     outputs = {"p_part": report.p_part, "m": report.cofactor, "total": report.total}
-    return Result(outputs, list(report.provenance))
+    return Result(outputs, [
+        f"p_part = {p}^({n}*({p}^{k} - 1))",
+        f"cofactor = ({p}^{k}*({p}^{n} - 1))! / (({p}^{n} - 1)!)^({p}^{k}) / p_part",
+        "total = p_part * cofactor",
+    ])
 
 
 def _bound_baseline(a) -> Result:
@@ -222,7 +233,9 @@ def _prop1_table(a) -> Result:
 
 
 def _verify(a) -> Result:
-    results = verify.run_suites(list(a.suite) if a.suite and not a.all else None)
+    if a.all and a.suite:
+        raise UsageError("--all and --suite cannot be combined")
+    results = verify.run_suites(a.suite)
     all_ok = all(res.ok for res in results)
     outputs = {}
     for res in results:

@@ -23,9 +23,18 @@ from typing import NamedTuple
 
 from .valuation import Prime, vp
 
-# corestriction_certificate refuses p^{rp} beyond this many bits (estimated
-# as r*p*bit_length(p)): it bounds the memory and the decimal rendering.
+# Both certificate routes refuse p^{rp}, and auxiliary_inequalities p^r,
+# beyond this many bits (estimated from bit_length(p)): it bounds the
+# memory and the decimal rendering.
 CERTIFICATE_BIT_LIMIT = 2**18
+
+
+def _refuse_past_bit_limit(power: str, bits: int) -> None:
+    if bits > CERTIFICATE_BIT_LIMIT:
+        raise ValueError(
+            f"{power} would have up to {bits} bits, beyond the "
+            f"certificate limit of {CERTIFICATE_BIT_LIMIT} bits"
+        )
 
 
 def karpenko_lower_bound(p: int, n: int, codim: int) -> int:
@@ -76,8 +85,13 @@ class CorestrictionCertificate:
     violated: bool
 
 
-def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
-    """Closed-form certificate for the degree-p^{rp}, period-p case."""
+def _certificate_instance(p: int, r: int) -> tuple[int, int, int, int]:
+    """Check a certificate instance; return (p, n, codim, observed).
+
+    p is an odd prime, r >= 1, n = rp (inner degree p^r over a degree-p
+    extension, s = 1), codim = p^n - p^r - p - 1 and observed = rp - r.
+    p^n is refused past CERTIFICATE_BIT_LIMIT bits before it is built.
+    """
     p = int(Prime(p))
     if p == 2:
         raise ValueError(
@@ -86,14 +100,14 @@ def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
         )
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    n = r * p  # inner degree p^r over a degree-p extension; s = 1
-    if n * p.bit_length() > CERTIFICATE_BIT_LIMIT:
-        raise ValueError(
-            f"p^(r*p) would have up to {n * p.bit_length()} bits, beyond the "
-            f"certificate limit of {CERTIFICATE_BIT_LIMIT} bits"
-        )
-    codim = p**n - p**r - p - 1
-    observed = r * p - r
+    n = r * p
+    _refuse_past_bit_limit("p^(r*p)", n * p.bit_length())
+    return p, n, p**n - p**r - p - 1, n - r
+
+
+def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
+    """Closed-form certificate for the degree-p^{rp}, period-p case."""
+    p, n, codim, observed = _certificate_instance(p, r)
     lower = karpenko_lower_bound(p, n, codim)
     return CorestrictionCertificate(
         p=p,
@@ -116,11 +130,13 @@ def auxiliary_inequalities(p: int, r: int) -> AuxiliaryInequalities:
     """Evaluate both auxiliary inequalities exactly.
 
     For p = 2, r = 1 the first one fails (2 < 3), which is exactly why
-    the certificate is restricted to odd primes.
+    the certificate is restricted to odd primes.  p^r is refused beyond
+    CERTIFICATE_BIT_LIMIT bits, estimated as r*bit_length(p).
     """
     p = int(Prime(p))
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
+    _refuse_past_bit_limit("p^r", r * p.bit_length())
     pr = p**r
     return AuxiliaryInequalities(pr >= r + 2, pr >= r * p)
 
@@ -138,18 +154,10 @@ def proof_inequalities(p: int, r: int) -> bool:
     (b) needs no check for i >= rp - r: there 0 < k - i < p^{rp} gives
     v_p(k - i) <= rp - 1 < rp <= r + i.  The remaining i < min(rp - r, k)
     are checked term by term with exact arithmetic, so the work is at
-    most rp - r valuations no matter how large p^{rp} is.
+    most rp - r valuations.  The instance is checked, and limited in
+    size, exactly as for corestriction_certificate.
     """
-    p = int(Prime(p))
-    if p == 2:
-        raise ValueError("the symbolic certificate requires an odd prime")
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
-    k = p ** (r * p) - p**r - p - 1
-    observed = r * p - r
-
+    p, _, k, observed = _certificate_instance(p, r)
     inequality_a = observed < k
-    window = min(r * p - r, k)
-    small_i_ok = all(vp(p, k - i) < r + i for i in range(window))
-
+    small_i_ok = all(vp(p, k - i) < r + i for i in range(min(observed, k)))
     return inequality_a and small_i_ok

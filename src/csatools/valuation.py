@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 
-# Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10^24,
-# which covers every 64-bit input.
+# Deterministic Miller-Rabin witness set, also the trial divisors: correct
+# for all n < 3.3 * 10^24, which covers every 64-bit input.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_CHECK_LIMIT = 2**64
 
@@ -28,10 +28,9 @@ def is_prime_64bit(n: int) -> bool:
         raise ValueError(f"primality check is deterministic only below 2**64, got {n}")
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_WITNESSES:
         return True
-    if any(n % q == 0 for q in small):
+    if any(n % q == 0 for q in _MR_WITNESSES):
         return False
     d = n - 1
     s = 0
@@ -81,20 +80,19 @@ def vp(p: int, n: int) -> int:
     return v
 
 
-def vp_factorial_oracle(p: int, n: int, limit: int = ORACLE_INPUT_LIMIT) -> int:
+def vp_factorial_oracle(p: int, n: int) -> int:
     """v_p(n!) by direct summation of floor(n/p^i) (Legendre).
 
     Independent of every closed form in this module.  Inputs above
-    `limit` (default 10^8) are rejected: the oracle exists for desk-scale
+    ORACLE_INPUT_LIMIT are rejected: the oracle exists for desk-scale
     verification, not for production-sized arguments.
     """
     p = Prime(p)
     if n < 0:
         raise ValueError(f"factorial argument must be nonnegative, got {n}")
-    if n > limit:
+    if n > ORACLE_INPUT_LIMIT:
         raise ValueError(
-            f"oracle input {n} exceeds the verification limit {limit}; "
-            "pass a larger limit explicitly if you really mean it"
+            f"oracle input {n} exceeds the verification limit {ORACLE_INPUT_LIMIT}"
         )
     total = 0
     q = n
@@ -120,8 +118,6 @@ def vp_factorial_k_times_prime_power(p: int, k: int, n: int) -> int:
     p = Prime(p)
     if not 1 <= k < p:
         raise ValueError(f"k must satisfy 1 <= k < p, got k={k} for p={p}")
-    if n < 0:
-        raise ValueError(f"exponent must be nonnegative, got {n}")
     return k * vp_factorial_prime_power(p, n)
 
 

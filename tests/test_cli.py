@@ -181,12 +181,13 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_oversized_certificate_is_rejected_quickly(self, capsys):
-        started = time.perf_counter()
-        code = cli.run(["corestriction-cert", "--p", "3", "--r", "1000000000"])
-        elapsed = time.perf_counter() - started
-        assert code == 1
-        assert "limit" in capsys.readouterr().err
-        assert elapsed < 0.5
+        for command in ("corestriction-cert", "proof-inequalities"):
+            started = time.perf_counter()
+            code = cli.run([command, "--p", "3", "--r", "1000000000"])
+            elapsed = time.perf_counter() - started
+            assert code == 1
+            assert "limit" in capsys.readouterr().err
+            assert elapsed < 0.5
 
     def test_internal_inconsistency_is_exit_3(self, capsys, monkeypatch):
         def broken(p, k, n):
@@ -336,6 +337,12 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert "result: FAIL (2/3 suites)" in out
         assert f"chow-laws: {error.__name__}: forced for the test" in err
+
+    def test_all_with_suite_is_usage_error(self, capsys):
+        assert cli.run(["verify", "--all", "--suite", "known-values"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --all and --suite cannot be combined\n"
 
     def test_unknown_suite_rejected(self, capsys):
         assert cli.run(["verify", "--suite", "bogus"]) == 2

@@ -115,8 +115,10 @@ class TestCertificate:
         for p in (3, 101):
             r = karpenko.CERTIFICATE_BIT_LIMIT // (p * p.bit_length())
             assert corestriction_certificate(p, r).violated
-            with pytest.raises(ValueError, match="limit"):
-                corestriction_certificate(p, r + 1)
+            assert proof_inequalities(p, r) is True  # p = 3: 87,380 valuations of 2^18-bit numbers
+            for route in (corestriction_certificate, proof_inequalities):
+                with pytest.raises(ValueError, match="limit"):
+                    route(p, r + 1)
 
 
 class TestSymbolicRoute:
@@ -162,3 +164,13 @@ class TestAuxiliaryInequalities:
             for r in range(1, 12):
                 aux = auxiliary_inequalities(p, r)
                 assert aux.pr_ge_r_plus_2 and aux.pr_ge_rp
+
+    def test_bit_limit(self):
+        # p^r is estimated at r * bit_length(p) bits; p = 2 is allowed here
+        for p in (2, 3, 101):
+            r = karpenko.CERTIFICATE_BIT_LIMIT // p.bit_length()
+            assert auxiliary_inequalities(p, r) == (True, True)
+            with pytest.raises(ValueError, match="limit"):
+                auxiliary_inequalities(p, r + 1)
+        with pytest.raises(ValueError, match="limit"):
+            auxiliary_inequalities(3, 10**9)
