@@ -16,7 +16,9 @@ computation,
 
 which is what the counterexample scenarios below evaluate.  The range
 stops at i = p^d because the model is p-periodic in i and i = p^d
-realizes the factor-1 branch.
+realizes the factor-1 branch.  index_reduction and prop1_case_table
+read the gcd terms from one generator, and prop1/prop2 run one scenario
+routine.  A BrauerVector keeps p as a Prime, so combine never re-checks it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class BrauerVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        p = int(Prime(self.p))
+        p = Prime(self.p)
         coords = tuple(int(c) for c in self.coords)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coords", coords)
@@ -67,6 +69,16 @@ def combine(v: BrauerVector, w: BrauerVector, i: int) -> BrauerVector:
     )
 
 
+def _terms(target: BrauerVector, fiber: BrauerVector, d: int):
+    """Yield (i, factor, index) for i = 1..p^d; term i of the gcd is factor * index.
+
+    factor = p^d / gcd(p^d, i) and index = index(target + i*fiber).
+    """
+    pd = target.p**d
+    for i in range(1, pd + 1):
+        yield i, pd // math.gcd(pd, i), model_index(combine(target, fiber, i))
+
+
 def index_reduction(target: BrauerVector, fiber: BrauerVector, d: int) -> int:
     """Index of `target` over the function field of X_{p^d}(fiber).
 
@@ -77,13 +89,27 @@ def index_reduction(target: BrauerVector, fiber: BrauerVector, d: int) -> int:
         raise ValueError("target and fiber must share p and length")
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    p = target.p
-    pd = p**d
     out = 0
-    for i in range(1, pd + 1):
-        term = (pd // math.gcd(pd, i)) * model_index(combine(target, fiber, i))
-        out = math.gcd(out, term)
+    for _, factor, index in _terms(target, fiber, d):
+        out = math.gcd(out, factor * index)
     return out
+
+
+def _scenario(p: Prime, d: int, exponents: tuple) -> tuple[BrauerVector, BrauerVector, dict]:
+    """A = A_1 x ... x A_n (all exponents 1), A' (`exponents`) and their report.
+
+    The report holds both indices over the function field of X_{p^d}(A);
+    a pair other than (p^d, p^n) raises ConsistencyError.
+    """
+    base = BrauerVector(p, (1,) * len(exponents))
+    twisted = BrauerVector(p, exponents)
+    computed = (index_reduction(base, base, d), index_reduction(twisted, base, d))
+    expected = (p**d, p ** len(exponents))
+    if computed != expected:
+        raise ConsistencyError(f"expected {expected}, computed {computed}")
+    report = {"exponents_of_A_prime": twisted.coords,
+              "index_of_A": computed[0], "index_of_A_prime": computed[1]}
+    return base, twisted, report
 
 
 def prop1_scenario(p: int) -> dict:
@@ -96,30 +122,12 @@ def prop1_scenario(p: int) -> dict:
     divisible by p^p.  Raises ConsistencyError if the computed pair is
     not (p^2, p^p).
     """
-    p = int(Prime(p))
+    p = Prime(p)
     if p < 3:
         raise ValueError(
             f"the scenario needs p >= 3 (the exponent pattern degenerates at p=2), got {p}"
         )
-    base = BrauerVector(p, (1,) * p)
-    twisted = BrauerVector(p, (1, 1) + tuple(range(2, p)))
-    index_base = index_reduction(base, base, 2)
-    index_twisted = index_reduction(twisted, base, 2)
-    if (index_base, index_twisted) != (p**2, p**p):
-        raise ConsistencyError(
-            f"expected ({p**2}, {p**p}), computed ({index_base}, {index_twisted})"
-        )
-    return {
-        "p": p,
-        "exponents_of_A_prime": twisted.coords,
-        "index_of_A": index_base,
-        "index_of_A_prime": index_twisted,
-    }
-
-
-_CASE_RESIDUE_MINUS_ONE = "i = p-1 mod p, p coprime to i"
-_CASE_COPRIME_OTHER = "other i coprime to p"
-_CASE_MULTIPLE = "p divides i"
+    return {"p": p, **_scenario(p, 2, (1, 1) + tuple(range(2, p)))[2]}
 
 
 def prop1_case_table(p: int) -> list[dict]:
@@ -134,25 +142,23 @@ def prop1_case_table(p: int) -> list[dict]:
 
     A bucket mismatch raises ConsistencyError.
     """
-    p = int(Prime(p))
+    p = Prime(p)
     if p < 3:
         raise ValueError(f"the case table needs p >= 3, got {p}")
     base = BrauerVector(p, (1,) * p)
     twisted = BrauerVector(p, (1, 1) + tuple(range(2, p)))
     p2 = p * p
     rows = []
-    for i in range(1, p2 + 1):
-        factor = p2 // math.gcd(p2, i)
-        idx = model_index(combine(twisted, base, i))
+    for i, factor, idx in _terms(twisted, base, 2):
         term = factor * idx
         if i % p == p - 1:
-            case = _CASE_RESIDUE_MINUS_ONE
+            case = "i = p-1 mod p, p coprime to i"
             expected = p2 * p ** (p - 2)
         elif i % p != 0:
-            case = _CASE_COPRIME_OTHER
+            case = "other i coprime to p"
             expected = p2 * p ** (p - 1)
         else:
-            case = _CASE_MULTIPLE
+            case = "p divides i"
             expected = factor * p**p
             if factor not in (1, p):
                 raise ConsistencyError(
@@ -182,24 +188,10 @@ def prop2_scenario(p: int, d: int, n: int) -> dict:
     pair must be (p^d, p^n); the d = 1 reduction (where the per-term
     case values are easiest to see) is re-checked as well.
     """
-    p = int(Prime(p))
+    p = Prime(p)
     if not 0 < d < n < p:
         raise ValueError(f"need 0 < d < n < p, got d={d}, n={n}, p={p}")
-    base = BrauerVector(p, (1,) * n)
-    twisted = BrauerVector(p, tuple(range(1, n + 1)))
-    index_base = index_reduction(base, base, d)
-    index_twisted = index_reduction(twisted, base, d)
-    if (index_base, index_twisted) != (p**d, p**n):
-        raise ConsistencyError(
-            f"expected ({p**d}, {p**n}), computed ({index_base}, {index_twisted})"
-        )
+    base, twisted, report = _scenario(p, d, tuple(range(1, n + 1)))
     if index_reduction(twisted, base, 1) != p**n:
         raise ConsistencyError("d=1 reduction disagrees with the d>=1 scenario")
-    return {
-        "p": p,
-        "d": d,
-        "n": n,
-        "exponents_of_A_prime": twisted.coords,
-        "index_of_A": index_base,
-        "index_of_A_prime": index_twisted,
-    }
+    return {"p": p, "d": d, "n": n, **report}

@@ -235,6 +235,8 @@ def _prop1_table(a) -> Result:
 def _verify(a) -> Result:
     if a.all and a.suite:
         raise UsageError("--all and --suite cannot be combined")
+    if a.suite and len(set(a.suite)) < len(a.suite):
+        raise UsageError("--suite cannot name a suite twice")
     results = verify.run_suites(a.suite)
     all_ok = all(res.ok for res in results)
     outputs = {}

@@ -13,7 +13,7 @@ degree-p extension: such a presentation would produce a subvariety of
 codimension p^{rp} - p^r - p - 1 whose degree has valuation exactly
 rp - r, and the certificate records that this undershoots the lower
 bound.  proof_inequalities establishes the same violation symbolically,
-with no minimization at all, checking at most rp - r valuations.
+with no minimization at all, checking at most ceil((rp - r)/p) valuations.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def karpenko_lower_bound(p: int, n: int, codim: int) -> int:
     It never decreases, and n - v > n - codim.bit_length(), so the walk
     stops as soon as no later v can beat the best value so far.
     """
-    p = int(Prime(p))
+    p = Prime(p)
     if n < 1:
         raise ValueError(f"degree exponent must be positive, got {n}")
     if codim < 1:
@@ -92,7 +92,7 @@ def _certificate_instance(p: int, r: int) -> tuple[int, int, int, int]:
     extension, s = 1), codim = p^n - p^r - p - 1 and observed = rp - r.
     p^n is refused past CERTIFICATE_BIT_LIMIT bits before it is built.
     """
-    p = int(Prime(p))
+    p = Prime(p)
     if p == 2:
         raise ValueError(
             "the certificate requires an odd prime: for p = 2 the "
@@ -133,7 +133,7 @@ def auxiliary_inequalities(p: int, r: int) -> AuxiliaryInequalities:
     the certificate is restricted to odd primes.  p^r is refused beyond
     CERTIFICATE_BIT_LIMIT bits, estimated as r*bit_length(p).
     """
-    p = int(Prime(p))
+    p = Prime(p)
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     _refuse_past_bit_limit("p^r", r * p.bit_length())
@@ -152,12 +152,13 @@ def proof_inequalities(p: int, r: int) -> bool:
         can either.
 
     (b) needs no check for i >= rp - r: there 0 < k - i < p^{rp} gives
-    v_p(k - i) <= rp - 1 < rp <= r + i.  The remaining i < min(rp - r, k)
-    are checked term by term with exact arithmetic, so the work is at
-    most rp - r valuations.  The instance is checked, and limited in
-    size, exactly as for corestriction_certificate.
+    v_p(k - i) <= rp - 1 < rp <= r + i.  Nor for i not congruent to k
+    mod p: there v_p(k - i) = 0 < r + i.  The remaining i < min(rp - r, k)
+    with i = k mod p are checked term by term with exact arithmetic, so
+    the work is at most ceil((rp - r)/p) valuations.  The instance is
+    checked, and limited in size, exactly as for corestriction_certificate.
     """
     p, _, k, observed = _certificate_instance(p, r)
     inequality_a = observed < k
-    small_i_ok = all(vp(p, k - i) < r + i for i in range(min(observed, k)))
+    small_i_ok = all(vp(p, k - i) < r + i for i in range(k % p, min(observed, k), p))
     return inequality_a and small_i_ok

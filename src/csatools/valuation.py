@@ -54,11 +54,14 @@ class Prime(int):
     """An integer validated to be prime at construction.
 
     Construction of a composite (or of anything below 2) raises ValueError,
-    so a Prime instance is a trusted precondition everywhere downstream.
-    Behaves as a plain int in all arithmetic.
+    so a Prime instance is a trusted precondition everywhere downstream:
+    passing a Prime returns it unchanged and skips the check.  Behaves as
+    a plain int in all arithmetic.
     """
 
     def __new__(cls, value) -> "Prime":
+        if isinstance(value, cls):
+            return value
         v = int(value)
         if not is_prime_64bit(v):
             raise ValueError(f"{v} is not a prime")

@@ -50,7 +50,7 @@ def karpenko_lower_bound_grouped(p: int, n: int, codim: int) -> int:
     computable directly: take floor(codim / p^v) and step down once if p
     still divides it.  O(log codim) instead of O(codim).
     """
-    p = int(valuation.Prime(p))
+    p = valuation.Prime(p)
     if n < 1 or codim < 1:
         raise ValueError("need n >= 1 and codim >= 1")
     best = codim

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from csatools import valuation
 from csatools.brauer import (
     BrauerVector,
     combine,
@@ -52,6 +53,18 @@ class TestCombine:
         w = BrauerVector(5, (1, 2, 3))
         assert combine(w, BrauerVector(5, (1, 1, 1)), 0) == w
         assert combine(w, BrauerVector(5, (1, 1, 1)), 4).coords == (0, 1, 2)
+
+    def test_checked_vectors_are_not_rechecked(self, monkeypatch):
+        v, w = BrauerVector(7, (1, 2, 3)), BrauerVector(7, (1, 1, 1))
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return True
+
+        monkeypatch.setattr(valuation, "is_prime_64bit", counting_is_prime)
+        assert combine(v, w, 3).coords == (4, 5, 6)
+        assert calls == []
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

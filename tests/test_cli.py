@@ -344,6 +344,12 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "usage error: --all and --suite cannot be combined\n"
 
+    def test_repeated_suite_is_usage_error(self, capsys):
+        assert cli.run(["verify", "--suite", "known-values", "--suite", "known-values"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --suite cannot name a suite twice\n"
+
     def test_unknown_suite_rejected(self, capsys):
         assert cli.run(["verify", "--suite", "bogus"]) == 2
         capsys.readouterr()

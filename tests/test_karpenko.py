@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from csatools import karpenko
+from csatools import karpenko, valuation
 from csatools.karpenko import (
     auxiliary_inequalities,
     corestriction_certificate,
@@ -139,7 +139,19 @@ class TestSymbolicRoute:
 
         monkeypatch.setattr(karpenko, "vp", counting_vp)
         assert proof_inequalities(7, 5) is True
-        assert len(calls) <= 7 * 5 - 5
+        # only i = k mod p in [0, rp - r) can have v_p(k - i) > 0: ceil((rp - r)/p) terms
+        assert len(calls) <= -(-(7 * 5 - 5) // 7)
+
+    def test_checks_p_once(self, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return True
+
+        monkeypatch.setattr(valuation, "is_prime_64bit", counting_is_prime)
+        assert proof_inequalities(3, 10) is True
+        assert calls == [3]
 
     def test_matches_full_window_reference(self):
         for p in (3, 5, 7, 11, 13):

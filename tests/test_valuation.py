@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from csatools import valuation
 from csatools.valuation import (
     Prime,
     is_prime_64bit,
@@ -36,6 +37,20 @@ class TestPrime:
     def test_rejects_beyond_64_bits(self):
         with pytest.raises(ValueError, match="64"):
             Prime(2**64 + 13)
+
+    def test_checked_prime_passes_through_unchecked(self, monkeypatch):
+        p = Prime(7)
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return True
+
+        monkeypatch.setattr(valuation, "is_prime_64bit", counting_is_prime)
+        assert Prime(p) is p
+        assert calls == []
+        Prime(11)  # a plain int is still checked
+        assert calls == [11]
 
     def test_behaves_as_int(self):
         p = Prime(7)
