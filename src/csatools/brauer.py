@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .valuation import Prime
+from .valuation import Prime, refuse_oversized
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,14 @@ def prop1_scenario(p: int) -> dict:
     field of X_{p^2}(A).  A drops to index p^2 there while A' keeps
     index p^p, so every common splitting field of the A_j has degree
     divisible by p^p.  Raises ConsistencyError if the computed pair is
-    not (p^2, p^p).
+    not (p^2, p^p), and refuses p^p past the size limit up front.
     """
     p = Prime(p)
     if p < 3:
         raise ValueError(
             f"the scenario needs p >= 3 (the exponent pattern degenerates at p=2), got {p}"
         )
+    refuse_oversized("p^p", p * p.bit_length())
     return {"p": p, **_scenario(p, 2, (1, 1) + tuple(range(2, p)))[2]}
 
 
@@ -145,6 +146,7 @@ def prop1_case_table(p: int) -> list[dict]:
     p = Prime(p)
     if p < 3:
         raise ValueError(f"the case table needs p >= 3, got {p}")
+    refuse_oversized("p^p", p * p.bit_length())
     base = BrauerVector(p, (1,) * p)
     twisted = BrauerVector(p, (1, 1) + tuple(range(2, p)))
     p2 = p * p

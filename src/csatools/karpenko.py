@@ -13,7 +13,8 @@ degree-p extension: such a presentation would produce a subvariety of
 codimension p^{rp} - p^r - p - 1 whose degree has valuation exactly
 rp - r, and the certificate records that this undershoots the lower
 bound.  proof_inequalities establishes the same violation symbolically,
-with no minimization at all, checking at most ceil((rp - r)/p) valuations.
+with no minimization at all, checking at most ceil((rp - r)/p) valuations
+of numbers below rp + p + 1.  p^{rp} and p^r are held to the size limit.
 """
 
 from __future__ import annotations
@@ -21,20 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .valuation import Prime, vp
-
-# Both certificate routes refuse p^{rp}, and auxiliary_inequalities p^r,
-# beyond this many bits (estimated from bit_length(p)): it bounds the
-# memory and the decimal rendering.
-CERTIFICATE_BIT_LIMIT = 2**18
-
-
-def _refuse_past_bit_limit(power: str, bits: int) -> None:
-    if bits > CERTIFICATE_BIT_LIMIT:
-        raise ValueError(
-            f"{power} would have up to {bits} bits, beyond the "
-            f"certificate limit of {CERTIFICATE_BIT_LIMIT} bits"
-        )
+from .valuation import Prime, refuse_oversized, vp
 
 
 def karpenko_lower_bound(p: int, n: int, codim: int) -> int:
@@ -90,7 +78,7 @@ def _certificate_instance(p: int, r: int) -> tuple[int, int, int, int]:
 
     p is an odd prime, r >= 1, n = rp (inner degree p^r over a degree-p
     extension, s = 1), codim = p^n - p^r - p - 1 and observed = rp - r.
-    p^n is refused past CERTIFICATE_BIT_LIMIT bits before it is built.
+    p^n is refused past the size limit before it is built.
     """
     p = Prime(p)
     if p == 2:
@@ -101,7 +89,7 @@ def _certificate_instance(p: int, r: int) -> tuple[int, int, int, int]:
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     n = r * p
-    _refuse_past_bit_limit("p^(r*p)", n * p.bit_length())
+    refuse_oversized("p^(r*p)", n * p.bit_length())
     return p, n, p**n - p**r - p - 1, n - r
 
 
@@ -130,13 +118,13 @@ def auxiliary_inequalities(p: int, r: int) -> AuxiliaryInequalities:
     """Evaluate both auxiliary inequalities exactly.
 
     For p = 2, r = 1 the first one fails (2 < 3), which is exactly why
-    the certificate is restricted to odd primes.  p^r is refused beyond
-    CERTIFICATE_BIT_LIMIT bits, estimated as r*bit_length(p).
+    the certificate is restricted to odd primes.  p^r is refused past the
+    size limit, estimated as r*bit_length(p) bits.
     """
     p = Prime(p)
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    _refuse_past_bit_limit("p^r", r * p.bit_length())
+    refuse_oversized("p^r", r * p.bit_length())
     pr = p**r
     return AuxiliaryInequalities(pr >= r + 2, pr >= r * p)
 
@@ -154,11 +142,14 @@ def proof_inequalities(p: int, r: int) -> bool:
     (b) needs no check for i >= rp - r: there 0 < k - i < p^{rp} gives
     v_p(k - i) <= rp - 1 < rp <= r + i.  Nor for i not congruent to k
     mod p: there v_p(k - i) = 0 < r + i.  The remaining i < min(rp - r, k)
-    with i = k mod p are checked term by term with exact arithmetic, so
-    the work is at most ceil((rp - r)/p) valuations.  The instance is
-    checked, and limited in size, exactly as for corestriction_certificate.
+    with i = k mod p are checked term by term, so the work is at most
+    ceil((rp - r)/p) valuations, each of a number below rp + p + 1:
+    k - i = p^{rp} - p^r - (p + 1 + i) has v_p(k - i) = v_p(p + 1 + i)
+    while that is below r, and it is, for odd p and i < rp - r: p + 1 + i
+    lies strictly between p and 2p at r = 1, and below p^r at r >= 2.
+    The instance is checked, and limited in size, exactly as for
+    corestriction_certificate.
     """
     p, _, k, observed = _certificate_instance(p, r)
-    inequality_a = observed < k
-    small_i_ok = all(vp(p, k - i) < r + i for i in range(k % p, min(observed, k), p))
-    return inequality_a and small_i_ok
+    return observed < k and all(
+        vp(p, p + 1 + i) < r + i for i in range(k % p, min(observed, k), p))

@@ -5,7 +5,8 @@ are used anywhere in the package.  The module provides a Legendre-style
 oracle v_p(n!) = sum floor(n/p^i), three closed-form counting identities
 for factorials of special shapes, and exact multinomial coefficients.
 The closed forms never call the oracle and vice versa, so each side can
-be used to check the other.
+be used to check the other.  refuse_oversized is the package's one size
+limit: every route that builds a big number checks its estimate first.
 """
 
 from __future__ import annotations
@@ -17,9 +18,16 @@ import math
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_CHECK_LIMIT = 2**64
 
-# Inputs above this make the factorial oracle desk-infeasible; the closed
-# forms have no such limit.
-ORACLE_INPUT_LIMIT = 10**8
+# No route builds a number estimated past this many bits: that bounds
+# memory and the time to print any answer.
+SIZE_LIMIT_BITS = 2**21
+
+
+def refuse_oversized(what: str, bits: int) -> None:
+    """Raise ValueError if `what`, estimated at `bits` bits, is past SIZE_LIMIT_BITS."""
+    if bits > SIZE_LIMIT_BITS:
+        raise ValueError(f"{what} would have up to {bits} bits, beyond the size limit "
+                         f"of {SIZE_LIMIT_BITS} bits")
 
 
 def is_prime_64bit(n: int) -> bool:
@@ -86,17 +94,12 @@ def vp(p: int, n: int) -> int:
 def vp_factorial_oracle(p: int, n: int) -> int:
     """v_p(n!) by direct summation of floor(n/p^i) (Legendre).
 
-    Independent of every closed form in this module.  Inputs above
-    ORACLE_INPUT_LIMIT are rejected: the oracle exists for desk-scale
-    verification, not for production-sized arguments.
+    Independent of every closed form in this module.  It loops log_p(n)
+    times and its answer is smaller than n, so it needs no size limit.
     """
     p = Prime(p)
     if n < 0:
         raise ValueError(f"factorial argument must be nonnegative, got {n}")
-    if n > ORACLE_INPUT_LIMIT:
-        raise ValueError(
-            f"oracle input {n} exceeds the verification limit {ORACLE_INPUT_LIMIT}"
-        )
     total = 0
     q = n
     while q:
@@ -113,6 +116,7 @@ def vp_factorial_prime_power(p: int, n: int) -> int:
     p = Prime(p)
     if n < 0:
         raise ValueError(f"exponent must be nonnegative, got {n}")
+    refuse_oversized("p^n", n * p.bit_length())
     return (p**n - 1) // (p - 1)
 
 
@@ -141,6 +145,7 @@ def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
 
     Computed as a product of binomials over the running partial sums, so
     the full factorials are never materialized.  Requires sum(parts) == top.
+    It is at most top^(top - largest part), so a single part costs nothing.
     """
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
@@ -150,6 +155,7 @@ def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
             raise ValueError(f"parts must be nonnegative, got {part}")
     if sum(parts) != top:
         raise ValueError(f"parts {parts} sum to {sum(parts)}, expected top={top}")
+    refuse_oversized("the multinomial", (top - max(parts, default=0)) * top.bit_length())
     out = 1
     running = 0
     for part in parts:

@@ -180,14 +180,39 @@ class TestExitCodes:
         assert cli.run(["segre-degree", "--shape", "2,x"]) == 2
         capsys.readouterr()
 
+    def assert_quick_rejection(self, capsys, argv):
+        """Exit 1 with one `error:` line naming the size limit, in under 0.5 s."""
+        started = time.perf_counter()
+        code = cli.run(argv.split())
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "limit" in captured.err
+        assert elapsed < 0.5
+
     def test_oversized_certificate_is_rejected_quickly(self, capsys):
         for command in ("corestriction-cert", "proof-inequalities"):
-            started = time.perf_counter()
-            code = cli.run([command, "--p", "3", "--r", "1000000000"])
-            elapsed = time.perf_counter() - started
-            assert code == 1
-            assert "limit" in capsys.readouterr().err
-            assert elapsed < 0.5
+            self.assert_quick_rejection(capsys, f"{command} --p 3 --r 1000000000")
+
+    @pytest.mark.parametrize("argv", [
+        "cofactor-m --p 13 --k 3 --n 3",
+        "vp-factorial --p 3 --method prime-power --n 1000000000",
+        "bound baseline --point 1000:1000000000",
+        "bound improvement --p 3 --k 100 --n 1",
+        "multinomial --top 1000000000 --parts 500000000,500000000",
+    ])
+    def test_oversized_number_is_rejected_quickly(self, capsys, argv):
+        self.assert_quick_rejection(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        "prop1 --p 18446744073709551557",
+        "prop1-table --p 18446744073709551557",
+        "prop1 --p 4294967291",
+    ])
+    def test_prop1_with_a_large_prime_is_rejected_quickly(self, capsys, argv):
+        self.assert_quick_rejection(capsys, argv)
 
     def test_internal_inconsistency_is_exit_3(self, capsys, monkeypatch):
         def broken(p, k, n):

@@ -113,9 +113,9 @@ class TestCertificate:
     def test_bit_limit_boundary(self):
         # p^(r*p) is estimated at r * p * bit_length(p) bits
         for p in (3, 101):
-            r = karpenko.CERTIFICATE_BIT_LIMIT // (p * p.bit_length())
+            r = valuation.SIZE_LIMIT_BITS // (p * p.bit_length())
             assert corestriction_certificate(p, r).violated
-            assert proof_inequalities(p, r) is True  # p = 3: 87,380 valuations of 2^18-bit numbers
+            assert proof_inequalities(p, r) is True  # p = 3: 233,017 valuations
             for route in (corestriction_certificate, proof_inequalities):
                 with pytest.raises(ValueError, match="limit"):
                     route(p, r + 1)
@@ -163,6 +163,20 @@ class TestSymbolicRoute:
         with pytest.raises(ValueError, match="odd"):
             proof_inequalities(2, 1)
 
+    def test_small_number_valuation_sweep(self, monkeypatch):
+        # each window term k - i = p^(rp) - p^r - (p + 1 + i) is read off
+        # the small number p + 1 + i, whose valuation is that of k - i
+        seen = []
+        monkeypatch.setattr(karpenko, "vp", lambda p, n: seen.append(n) or vp(p, n))
+        for p in (3, 5, 7, 11, 13):
+            for r in range(1, 7):
+                seen.clear()
+                assert proof_inequalities(p, r) is True
+                k = p ** (r * p) - p**r - p - 1
+                window = range(k % p, min(r * p - r, k), p)
+                assert seen == [p + 1 + i for i in window]
+                assert all(vp(p, p + 1 + i) == vp(p, k - i) < r for i in window)
+
 
 class TestAuxiliaryInequalities:
     def test_examples(self):
@@ -180,7 +194,7 @@ class TestAuxiliaryInequalities:
     def test_bit_limit(self):
         # p^r is estimated at r * bit_length(p) bits; p = 2 is allowed here
         for p in (2, 3, 101):
-            r = karpenko.CERTIFICATE_BIT_LIMIT // p.bit_length()
+            r = valuation.SIZE_LIMIT_BITS // p.bit_length()
             assert auxiliary_inequalities(p, r) == (True, True)
             with pytest.raises(ValueError, match="limit"):
                 auxiliary_inequalities(p, r + 1)

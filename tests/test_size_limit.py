@@ -1,0 +1,96 @@
+"""One size limit for every route that builds a big number.
+
+Each route estimates the bits of what it is about to build and passes the
+estimate to valuation.refuse_oversized.  Each guarded route is run one
+step past the limit, where it must refuse before building anything, and,
+where that is cheap, exactly at the limit, where it must answer with a
+number of at most SIZE_LIMIT_BITS bits.  The certificate routes have
+their own boundary tests in test_karpenko.py.
+"""
+
+import itertools
+import re
+
+import pytest
+
+from csatools import bounds, brauer, valuation
+from csatools.valuation import SIZE_LIMIT_BITS as LIMIT
+
+MULTINOMIAL_TOP = 2**20  # bit_length 21
+MULTINOMIAL_PART = LIMIT // MULTINOMIAL_TOP.bit_length()
+# the first prime whose p^p is refused
+PROP1_PAST = next(q for q in itertools.count(2) if q * q.bit_length() > LIMIT and valuation.is_prime_64bit(q))
+
+# route -> (call exactly at the limit, or None where that is not cheap;
+#           call one step past it; the number it names when refusing)
+BOUNDARY = {
+    "vp_factorial_prime_power": (  # n * bit_length(3)
+        lambda: valuation.vp_factorial_prime_power(3, LIMIT // 2),
+        lambda: valuation.vp_factorial_prime_power(3, LIMIT // 2 + 1),
+        "p^n",
+    ),
+    "vp_factorial_k_times_prime_power": (
+        lambda: valuation.vp_factorial_k_times_prime_power(3, 2, LIMIT // 2),
+        lambda: valuation.vp_factorial_k_times_prime_power(3, 2, LIMIT // 2 + 1),
+        "p^n",
+    ),
+    "vp_factorial_misc": (  # p^(k+n) is built
+        lambda: valuation.vp_factorial_misc(3, 10, LIMIT // 2 - 10),
+        lambda: valuation.vp_factorial_misc(3, 10, LIMIT // 2 - 9),
+        "p^n",
+    ),
+    "multinomial": (  # (top - largest part) * bit_length(top)
+        lambda: valuation.multinomial(MULTINOMIAL_TOP, [MULTINOMIAL_TOP - MULTINOMIAL_PART, MULTINOMIAL_PART]),
+        lambda: valuation.multinomial(MULTINOMIAL_TOP, [MULTINOMIAL_TOP - MULTINOMIAL_PART - 1, MULTINOMIAL_PART + 1]),
+        "the multinomial",
+    ),
+    "prime_power_instance": (  # (k + n) * bit_length(p), before p^k is built
+        None,
+        lambda: bounds.prime_power_bound(3, LIMIT // 2, 1),
+        "p^(k+n)",
+    ),
+    "cofactor_m": (  # N * bit_length(N) for N = p^k (p^n - 1); (5, 2, 5) answers in test_cli.py
+        None,
+        lambda: bounds.cofactor_m(5, 2, 6),
+        "(p^k (p^n - 1))!",
+    ),
+    "prime_power_bound": (
+        None,
+        lambda: bounds.prime_power_bound(5, 2, 6),
+        "(p^k (p^n - 1))!",
+    ),
+    "bound_improvement": (  # n * p^k * bit_length(p)
+        lambda: bounds.bound_improvement(3, 1, LIMIT // 6).baseline,
+        lambda: bounds.bound_improvement(3, 1, LIMIT // 6 + 1),
+        "p^(n*p^k)",
+    ),
+    "baseline_bound": (  # sum of residue degree * bit_length(component degree)
+        lambda: bounds.baseline_bound([(3, LIMIT // 2)]),
+        lambda: bounds.baseline_bound([(3, LIMIT // 2), (2, 1)]),
+        "the baseline product",
+    ),
+    "general_bound": (  # period power: r * bit_length(period), r = top mod index
+        lambda: bounds.general_bound(bounds.AlgebraShape((LIMIT // 2 + 1,), 3**13, 3)).period_power,
+        lambda: bounds.general_bound(bounds.AlgebraShape((LIMIT // 2 + 2,), 3**13, 3)),
+        "the period power",
+    ),
+    "prop1_scenario": (  # p^p: p * bit_length(p)
+        None,
+        lambda: brauer.prop1_scenario(PROP1_PAST),
+        "p^p",
+    ),
+    "prop1_case_table": (
+        None,
+        lambda: brauer.prop1_case_table(PROP1_PAST),
+        "p^p",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", list(BOUNDARY))
+def test_answers_at_the_limit_and_refuses_past_it(route):
+    at, past, what = BOUNDARY[route]
+    if at is not None:
+        assert 0 < at().bit_length() <= LIMIT
+    with pytest.raises(ValueError, match=re.escape(what) + " would have .* bits, beyond the size limit"):
+        past()
