@@ -17,15 +17,13 @@ Three bounds live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConsistencyError
-from .valuation import Prime, multinomial, refuse_oversized
+from .valuation import Frozen, Prime, multinomial, refuse_oversized
 
 
-@dataclass(frozen=True)
-class AlgebraShape:
+class AlgebraShape(Frozen):
     """Input data for the general bound.
 
     degrees is the unordered multiset of component degrees (stored
@@ -33,39 +31,36 @@ class AlgebraShape:
     corestriction, validated so that P divides I.
     """
 
-    degrees: tuple[int, ...]
-    index: int
-    period: int
+    __slots__ = ("degrees", "index", "period")
 
-    def __post_init__(self):
-        degrees = tuple(sorted(int(d) for d in self.degrees))
-        object.__setattr__(self, "degrees", degrees)
+    def __init__(self, degrees: tuple[int, ...], index: int, period: int):
+        degrees = tuple(sorted(int(d) for d in degrees))
         if len(degrees) < 1:
             raise ValueError("need at least one component degree")
         if any(d < 1 for d in degrees):
             raise ValueError(f"component degrees must be >= 1, got {degrees}")
-        if self.index < 1 or self.period < 1:
+        if index < 1 or period < 1:
             raise ValueError("index and period must be positive")
-        if self.index % self.period != 0:
-            raise ValueError(
-                f"period {self.period} must divide index {self.index}"
-            )
+        if index % period != 0:
+            raise ValueError(f"period {period} must divide index {index}")
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "period", period)
 
 
-@dataclass(frozen=True)
-class BaselinePoint:
+class BaselinePoint(Frozen):
     """One point of Spec L: a component degree and its residue degree."""
 
-    component_degree: int
-    residue_degree: int
+    __slots__ = ("component_degree", "residue_degree")
 
-    def __post_init__(self):
-        if self.component_degree < 1 or self.residue_degree < 1:
+    def __init__(self, component_degree: int, residue_degree: int):
+        if component_degree < 1 or residue_degree < 1:
             raise ValueError("baseline point entries must be >= 1")
+        object.__setattr__(self, "component_degree", component_degree)
+        object.__setattr__(self, "residue_degree", residue_degree)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """A splitting-degree bound with every factor recorded.
 
     Always: total = multinomial_factor * period_power, where

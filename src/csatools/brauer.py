@@ -24,29 +24,29 @@ routine.  A BrauerVector keeps p as a Prime, so combine never re-checks it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .valuation import Prime, refuse_oversized
+from .valuation import Frozen, Prime, refuse_oversized
 
 
-@dataclass(frozen=True)
-class BrauerVector:
-    """A Brauer class in the generic model: residues mod p, one per generator."""
+class BrauerVector(Frozen):
+    """A Brauer class in the generic model: residues mod p, one per generator.
 
-    p: int
-    coords: tuple[int, ...]
+    len() is the number of coordinates.
+    """
 
-    def __post_init__(self):
-        p = Prime(self.p)
-        coords = tuple(int(c) for c in self.coords)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coords", coords)
+    __slots__ = ("p", "coords")
+
+    def __init__(self, p: int, coords: tuple[int, ...]):
+        p = Prime(p)
+        coords = tuple(int(c) for c in coords)
         if len(coords) < 1:
             raise ValueError("a Brauer vector needs at least one coordinate")
         for c in coords:
             if not 0 <= c < p:
                 raise ValueError(f"coordinate {c} not a residue mod {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coords", coords)
 
     def __len__(self):
         return len(self.coords)

@@ -14,24 +14,21 @@ the package's standing cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .valuation import multinomial
+from .valuation import Frozen, multinomial
 
 
-@dataclass(frozen=True)
-class RingShape:
+class RingShape(Frozen):
     """Exponent bounds (d_1, ..., d_m), all >= 1, enforcing l_i^{d_i} = 0."""
 
-    bounds: tuple[int, ...]
+    __slots__ = ("bounds",)
 
-    def __post_init__(self):
-        bounds = tuple(int(d) for d in self.bounds)
-        object.__setattr__(self, "bounds", bounds)
+    def __init__(self, bounds: tuple[int, ...]):
+        bounds = tuple(int(d) for d in bounds)
         if len(bounds) < 1:
             raise ValueError("a ring shape needs at least one factor")
         if any(d < 1 for d in bounds):
             raise ValueError(f"all exponent bounds must be >= 1, got {bounds}")
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def factors(self) -> int:
@@ -51,7 +48,7 @@ def _as_shape(shape) -> RingShape:
     return shape if isinstance(shape, RingShape) else RingShape(tuple(shape))
 
 
-class ChowClass:
+class ChowClass(Frozen):
     """A sparse element of Z[l1,...,lm]/(l_i^{d_i}).
 
     terms maps exponent vectors (tuples of length m) to nonzero integer
@@ -82,14 +79,6 @@ class ChowClass:
             clean[exponents] = clean.get(exponents, 0) + coeff
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChowClass is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self.shape == other.shape and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.shape, tuple(sorted(self.terms.items()))))

@@ -20,18 +20,19 @@ everywhere and `--vp` wherever the flags include `p`.  run() does the
 rest: the inputs block (the parsed flags unless a handler gives its own),
 `--vp` decoration, rendering, and the mapping of errors to exit codes.
 Handlers look library functions up through their modules at call time,
-so a test or tracer that replaces a module attribute reaches them.
+so a test or tracer that replaces a module attribute reaches them.  They
+reach each module through the package (`cs.bounds`, ...), which imports
+it on first use, so one call loads only the module its subcommand needs:
+`vp` loads `valuation` alone, and only `verify` loads the test suites.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from . import bounds, brauer, chowring, karpenko, valuation, verify
+import csatools as cs
 from .errors import ConsistencyError
 
 RECORD_FORMAT = "json-like-stable-schema"
@@ -41,8 +42,7 @@ class UsageError(Exception):
     """Flag combination errors detected after argparse."""
 
 
-@dataclass
-class Result:
+class Result(NamedTuple):
     """What a handler computed; run() names, decorates and renders it."""
 
     outputs: dict
@@ -53,8 +53,7 @@ class Result:
     notes: tuple = ()  # diagnostics for stderr
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     help: str
     flags: dict  # flag name -> add_argument keywords, in input order
     handler: Callable[[argparse.Namespace], Result]
@@ -69,6 +68,8 @@ def _fmt(value) -> str:
 
 
 def _record(command: str, inputs: dict, outputs: dict, provenance: list) -> str:
+    import json  # only the record format needs it
+
     payload = {
         "command": command,
         "inputs": {k: _fmt(v) for k, v in inputs.items()},
@@ -91,7 +92,7 @@ def _with_vp(outputs: dict, p: int) -> dict:
     for key, value in outputs.items():
         decorated[key] = value
         if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
-            decorated[f"vp({key})"] = valuation.vp(p, value)
+            decorated[f"vp({key})"] = cs.valuation.vp(p, value)
     return decorated
 
 
@@ -131,26 +132,26 @@ def _vp_factorial(a) -> Result:
     if a.method in ("oracle", "prime-power") and a.k is not None:
         raise UsageError(f"--k is not used by --method {a.method}")
     if a.method == "oracle":
-        value = valuation.vp_factorial_oracle(a.p, a.n)
+        value = cs.valuation.vp_factorial_oracle(a.p, a.n)
     elif a.method == "prime-power":
-        value = valuation.vp_factorial_prime_power(a.p, a.n)
+        value = cs.valuation.vp_factorial_prime_power(a.p, a.n)
     else:
         if a.k is None:
             raise UsageError(f"--k is required for --method {a.method}")
         inputs["k"] = a.k
         if a.method == "misc":
-            value = valuation.vp_factorial_misc(a.p, a.k, a.n)
+            value = cs.valuation.vp_factorial_misc(a.p, a.k, a.n)
         else:
-            value = valuation.vp_factorial_k_times_prime_power(a.p, a.k, a.n)
+            value = cs.valuation.vp_factorial_k_times_prime_power(a.p, a.k, a.n)
     inputs["n"] = a.n
     return Result({"vp": value}, [_FACTORIAL_NOTES[a.method]], inputs=inputs)
 
 
 def _segre_degree(a) -> Result:
-    shape = chowring.RingShape(a.shape)
-    top_power = chowring.power(chowring.hyperplane_sum(shape), shape.dimension)
-    expansion = chowring.point_degree(top_power)
-    closed = chowring.segre_degree_closed_form(shape)
+    shape = cs.chowring.RingShape(a.shape)
+    top_power = cs.chowring.power(cs.chowring.hyperplane_sum(shape), shape.dimension)
+    expansion = cs.chowring.point_degree(top_power)
+    closed = cs.chowring.segre_degree_closed_form(shape)
     if expansion != closed:
         raise ConsistencyError(
             f"expansion {expansion} != closed form {closed} on shape {shape.bounds}"
@@ -164,8 +165,8 @@ def _segre_degree(a) -> Result:
 
 
 def _bound_general(a) -> Result:
-    shape = bounds.AlgebraShape(a.shape, a.index, a.period)
-    report = bounds.general_bound(shape)
+    shape = cs.bounds.AlgebraShape(a.shape, a.index, a.period)
+    report = cs.bounds.general_bound(shape)
     r, top = report.remainder, sum(shape.degrees) - len(shape.degrees)
     outputs = {"multinomial_factor": report.multinomial_factor, "r": r,
                "period_power": report.period_power, "total": report.total}
@@ -180,7 +181,7 @@ def _bound_general(a) -> Result:
 
 def _bound_prime_power(a) -> Result:
     p, k, n = a.p, a.k, a.n
-    report = bounds.prime_power_bound(p, k, n)
+    report = cs.bounds.prime_power_bound(p, k, n)
     outputs = {"p_part": report.p_part, "m": report.cofactor, "total": report.total}
     return Result(outputs, [
         f"p_part = {p}^({n}*({p}^{k} - 1))",
@@ -190,16 +191,16 @@ def _bound_prime_power(a) -> Result:
 
 
 def _bound_baseline(a) -> Result:
-    points = [bounds.BaselinePoint(deg, res) for deg, res in a.point]
+    points = [cs.bounds.BaselinePoint(deg, res) for deg, res in a.point]
     return Result(
-        {"total": bounds.baseline_bound(points)},
+        {"total": cs.bounds.baseline_bound(points)},
         ["prod (component degree)^(residue degree)"],
         inputs={"points": ";".join(f"{deg}:{res}" for deg, res in a.point)},
     )
 
 
 def _corestriction_cert(a) -> Result:
-    cert = karpenko.corestriction_certificate(a.p, a.r)
+    cert = cs.karpenko.corestriction_certificate(a.p, a.r)
     keys = ("codim", "observed_valuation", "lower_bound", "violated")
     return Result({key: getattr(cert, key) for key in keys}, [
         "codim = p^(r*p) - p^r - p - 1",
@@ -214,12 +215,14 @@ def _scenario(report: dict, provenance: list) -> Result:
 
 
 def _prop1_table(a) -> Result:
-    rows = brauer.prop1_case_table(a.p)
+    rows = cs.brauer.prop1_case_table(a.p)
     outputs = {"rows": len(rows)}
     for row in rows:
         outputs[f"term[{row['i']}]"] = row["term"]
         outputs[f"case[{row['i']}]"] = row["case"]
-    header = ("i", "factor", "index", "term", "case")
+        if a.vp:
+            row["vp(term)"] = cs.valuation.vp(a.p, row["term"])
+    header = tuple(k for k in ("i", "factor", "index", "term", "vp(term)", "case") if k in rows[0])
     cells = [header] + [tuple(str(row[k]) for k in header) for row in rows]
     widths = [max(len(line[col]) for line in cells) for col in range(len(header))]
     text = "\n".join(
@@ -233,11 +236,15 @@ def _prop1_table(a) -> Result:
 
 
 def _verify(a) -> Result:
+    names = cs.verify.suite_names()
+    for name in a.suite or ():
+        if name not in names:
+            raise UsageError(f"unknown suite {name!r}; choose from {', '.join(names)}")
     if a.all and a.suite:
         raise UsageError("--all and --suite cannot be combined")
     if a.suite and len(set(a.suite)) < len(a.suite):
         raise UsageError("--suite cannot name a suite twice")
-    results = verify.run_suites(a.suite)
+    results = cs.verify.run_suites(a.suite)
     all_ok = all(res.ok for res in results)
     outputs = {}
     for res in results:
@@ -268,7 +275,7 @@ COMMANDS = {
     "vp": Command(
         "p-adic valuation of an integer",
         {"p": INT, "n": INT},
-        lambda a: Result({"vp": valuation.vp(a.p, a.n)}, ["vp = max e such that p^e divides n"]),
+        lambda a: Result({"vp": cs.valuation.vp(a.p, a.n)}, ["vp = max e such that p^e divides n"]),
     ),
     "vp-factorial": Command(
         "valuation of a factorial: Legendre oracle or a closed form",
@@ -280,7 +287,7 @@ COMMANDS = {
         "exact multinomial coefficient",
         {"top": INT, "parts": CSV},
         lambda a: Result(
-            {"multinomial": valuation.multinomial(a.top, list(a.parts))},
+            {"multinomial": cs.valuation.multinomial(a.top, list(a.parts))},
             ["top! / prod(part_i!), computed by iterated binomials"],
         ),
     ),
@@ -305,7 +312,7 @@ COMMANDS = {
         "baseline p-power vs the index-aware p-part",
         {"p": INT, "k": INT, "n": INT},
         lambda a: Result(
-            bounds.bound_improvement(a.p, a.k, a.n)._asdict(),
+            cs.bounds.bound_improvement(a.p, a.k, a.n)._asdict(),
             ["baseline = p^(n*p^k); improved p-part = p^(n(p^k - 1))"],
         ),
     ),
@@ -313,7 +320,7 @@ COMMANDS = {
         "prime-to-p cofactor of the bound",
         {"p": INT, "k": INT, "n": INT},
         lambda a: Result(
-            {"m": bounds.cofactor_m(a.p, a.k, a.n)},
+            {"m": cs.bounds.cofactor_m(a.p, a.k, a.n)},
             ["m = (p^k(p^n - 1))! / ((p^n - 1)!)^(p^k) / p^(n(p^k - 1))"],
         ),
     ),
@@ -321,7 +328,7 @@ COMMANDS = {
         "cycle-degree valuation lower bound (closed form)",
         {"p": INT, "n": INT, "codim": INT},
         lambda a: Result(
-            {"lower_bound": karpenko.karpenko_lower_bound(a.p, a.n, a.codim)},
+            {"lower_bound": cs.karpenko.karpenko_lower_bound(a.p, a.n, a.codim)},
             ["min({ i + n - vp(codim - i) : 0 <= i < codim } u { codim })"],
         ),
     ),
@@ -333,8 +340,8 @@ COMMANDS = {
         "symbolic (loop-free) version of the certificate",
         {"p": INT, "r": INT},
         lambda a: Result(
-            {"holds": karpenko.proof_inequalities(a.p, a.r),
-             **karpenko.auxiliary_inequalities(a.p, a.r)._asdict()},
+            {"holds": cs.karpenko.proof_inequalities(a.p, a.r),
+             **cs.karpenko.auxiliary_inequalities(a.p, a.r)._asdict()},
             [
                 "symbolic certificate: window check for small i, valuation bound for large i",
                 "auxiliary comparisons p^r >= r+2 and p^r >= r*p evaluated exactly",
@@ -345,15 +352,15 @@ COMMANDS = {
         "index over the function field of a generalized Severi-Brauer variety",
         {"p": INT, "target": CSV, "fiber": CSV, "d": INT},
         lambda a: Result(
-            {"index": brauer.index_reduction(brauer.BrauerVector(a.p, a.target),
-                                             brauer.BrauerVector(a.p, a.fiber), a.d)},
+            {"index": cs.brauer.index_reduction(cs.brauer.BrauerVector(a.p, a.target),
+                                                cs.brauer.BrauerVector(a.p, a.fiber), a.d)},
             ["gcd over i=1..p^d of (p^d/gcd(p^d, i)) * index(target + i*fiber)"],
         ),
     ),
     "prop1": Command(
         "index-p^2 sharpness scenario",
         {"p": INT},
-        lambda a: _scenario(brauer.prop1_scenario(a.p), [
+        lambda a: _scenario(cs.brauer.prop1_scenario(a.p), [
             "A has all exponents 1; A' has exponents 1,1,2,...,p-1",
             "both indices over the function field of X_{p^2}(A); expected (p^2, p^p)",
         ]),
@@ -362,7 +369,7 @@ COMMANDS = {
     "prop2": Command(
         "index-p^d sharpness scenario (d < n < p)",
         {"p": INT, "d": INT, "n": INT},
-        lambda a: _scenario(brauer.prop2_scenario(a.p, a.d, a.n), [
+        lambda a: _scenario(cs.brauer.prop2_scenario(a.p, a.d, a.n), [
             "A has all exponents 1; A' has exponents 1,2,...,n",
             "both indices over the function field of X_{p^d}(A); expected (p^d, p^n)",
         ]),
@@ -370,8 +377,7 @@ COMMANDS = {
     "verify": Command(
         "run the regression and oracle suites",
         {"all": {"action": "store_true", "help": "run every suite (default)"},
-         "suite": {"action": "append", "choices": verify.suite_names(),
-                   "help": "run only the named suite(s), repeatable"}},
+         "suite": {"action": "append", "help": "run only the named suite(s), repeatable"}},
         _verify,
     ),
 }

@@ -19,7 +19,6 @@ of numbers below rp + p + 1.  p^{rp} and p^r are held to the size limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .valuation import Prime, refuse_oversized, vp
@@ -55,8 +54,7 @@ def karpenko_lower_bound(p: int, n: int, codim: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class CorestrictionCertificate:
+class CorestrictionCertificate(NamedTuple):
     """Numeric witness that a corestriction presentation is impossible.
 
     p odd; the hypothetical inner algebra has degree p^r over a degree-p

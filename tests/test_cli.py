@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import csatools
 from csatools import bounds, cli, karpenko, verify
 from csatools.errors import ConsistencyError
 
@@ -218,13 +219,13 @@ class TestExitCodes:
         def broken(p, k, n):
             raise ConsistencyError("forced for the test")
 
-        monkeypatch.setattr(cli.bounds, "prime_power_bound", broken)
+        monkeypatch.setattr(bounds, "prime_power_bound", broken)
         assert cli.run(["bound", "prime-power", "--p", "3", "--k", "1", "--n", "1"]) == 3
         assert "internal consistency failure" in capsys.readouterr().err
 
     def test_failing_verify_suite_is_exit_3(self, capsys, monkeypatch):
         failing = verify.SuiteResult("known-values", checks=1, failures=["forced"])
-        monkeypatch.setattr(cli.verify, "run_suites", lambda names=None: [failing])
+        monkeypatch.setattr(verify, "run_suites", lambda names=None: [failing])
         assert cli.run(["verify", "--suite", "known-values"]) == 3
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
@@ -376,8 +377,11 @@ class TestVerifyCommand:
         assert captured.err == "usage error: --suite cannot name a suite twice\n"
 
     def test_unknown_suite_rejected(self, capsys):
-        assert cli.run(["verify", "--suite", "bogus"]) == 2
-        capsys.readouterr()
+        assert cli.run(["verify", "--suite", "known-values", "--suite", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: unknown suite 'bogus'")
+        assert all(name in captured.err for name in verify.suite_names())
 
     def test_json_record(self, capsys):
         line = get_json(capsys, ["verify", "--suite", "known-values"])
@@ -385,11 +389,15 @@ class TestVerifyCommand:
         assert record["outputs"]["overall"] == "ok"
 
 
+def _child_env():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 class TestProcessEntryPoint:
     def test_python_dash_m(self):
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        env = _child_env()
 
         def run(*argv):
             return subprocess.run(
@@ -404,3 +412,80 @@ class TestProcessEntryPoint:
         composite = run("vp", "--p", "6", "--n", "18")
         assert composite.returncode == 1
         assert "not a prime" in composite.stderr
+
+
+# Imports csatools.cli, runs the argv given (if any), and prints on its last
+# line the csatools modules and `dataclasses` that were not loaded before.
+LOAD_PROBE = """
+import sys
+before = set(sys.modules)
+from csatools.cli import run
+code = run(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(*sorted(name for name in set(sys.modules) - before
+              if name == "dataclasses" or name.partition(".")[0] == "csatools"))
+sys.exit(code)
+"""
+
+CORE = ["csatools", "csatools.cli", "csatools.errors"]
+
+
+class TestLoading:
+    """What one CLI call loads, read from sys.modules in a fresh interpreter."""
+
+    def loaded(self, argv):
+        proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv.split()],
+                              capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_import_loads_only_the_cli(self):
+        assert self.loaded("") == CORE
+
+    @pytest.mark.parametrize("argv, module", [
+        ("vp --p 3 --n 18", "valuation"),
+        ("vp-factorial --p 3 --method misc --k 2 --n 1 --format json-like-stable-schema",
+         "valuation"),
+        ("multinomial --top 6 --parts 2,2,2", "valuation"),
+        ("segre-degree --shape 3,3,3", "chowring"),
+        ("bound general --shape 3,3,3 --index 3 --period 3", "bounds"),
+        ("bound prime-power --p 3 --k 1 --n 1 --vp", "bounds"),
+        ("bound baseline --point 2:1 --point 2:1", "bounds"),
+        ("bound improvement --p 3 --k 1 --n 1", "bounds"),
+        ("cofactor-m --p 3 --k 1 --n 2", "bounds"),
+        ("karpenko-bound --p 3 --n 3 --codim 20", "karpenko"),
+        ("corestriction-cert --p 3 --r 1", "karpenko"),
+        ("proof-inequalities --p 7 --r 5", "karpenko"),
+        ("index-reduction --p 3 --target 1,1,2 --fiber 1,1,1 --d 2", "brauer"),
+        ("prop1 --p 5", "brauer"),
+        ("prop1-table --p 3 --vp", "brauer"),
+        ("prop2 --p 5 --d 2 --n 3", "brauer"),
+    ])
+    def test_a_subcommand_loads_only_its_module(self, argv, module):
+        want = sorted({*CORE, "csatools.valuation", f"csatools.{module}"})
+        assert self.loaded(argv) == want
+
+    def test_verify_loads_every_module(self):
+        modules = ("bounds", "brauer", "chowring", "karpenko", "valuation", "verify")
+        want = sorted({*CORE, "dataclasses", *(f"csatools.{name}" for name in modules)})
+        assert self.loaded("verify --suite known-values") == want
+
+
+class TestPackageNames:
+    def test_each_name_is_the_object_in_its_home_module(self):
+        assert len(csatools.__all__) == 42
+        for name in csatools.__all__:
+            value = getattr(csatools, name)
+            assert value.__module__.startswith("csatools.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_names_are_looked_up_at_each_access(self, monkeypatch):
+        from csatools import valuation, vp
+
+        assert vp is valuation.vp
+        monkeypatch.setattr(valuation, "vp", lambda p, n: -1)
+        assert csatools.vp(3, 18) == -1
+        assert "vp" not in vars(csatools)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            csatools.no_such_name  # noqa: B018

@@ -6,7 +6,10 @@ invocation per error class.  The expected bytes in `cli_golden.json`
 were captured from the CLI as it stood before its command table was
 introduced, so any rendering drift shows here as a failure.  The two
 `vp-factorial --method oracle ... --k 2` cases were re-captured when an
-unused `--k` became a usage error.
+unused `--k` became a usage error, `prop1-table --p 3 --vp` when its
+table gained the `vp(term)` column that `--vp` had silently dropped, and
+`verify --suite bogus` when unknown suite names moved from argparse
+choices to the handler's usage error.
 """
 
 import json
@@ -14,7 +17,7 @@ import pathlib
 
 import pytest
 
-from csatools import cli, verify
+from csatools import bounds, cli, verify
 from csatools.errors import ConsistencyError
 
 README_EXAMPLES = [
@@ -115,7 +118,7 @@ def _stable_run(monkeypatch, suite_results):
             suite_results[key] = real(names)
         return suite_results[key]
 
-    monkeypatch.setattr(cli.verify, "run_suites", cached)
+    monkeypatch.setattr(verify, "run_suites", cached)
 
 
 def _capture(capsys, argv):
@@ -137,7 +140,7 @@ def test_consistency_failure_is_exit_3(capsys, monkeypatch):
     def broken(p, k, n):
         raise ConsistencyError("forced for the golden test")
 
-    monkeypatch.setattr(cli.bounds, "prime_power_bound", broken)
+    monkeypatch.setattr(bounds, "prime_power_bound", broken)
     got = _capture(capsys, _argv("bound prime-power --p 3 --k 1 --n 1"))
     assert got == {
         "exit": 3,

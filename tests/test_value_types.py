@@ -1,0 +1,54 @@
+"""The validated value types: normalised, immutable, equal and hashed by field."""
+
+import pytest
+
+from csatools import AlgebraShape, BaselinePoint, BrauerVector, ChowClass, RingShape
+
+# (the same value built two ways, a different value of the same type)
+CASES = [
+    (lambda: AlgebraShape((3, 2), 6, 3), lambda: AlgebraShape([2, 3], 6, 3),
+     AlgebraShape((2, 3), 6, 6)),
+    (lambda: BaselinePoint(2, 1), lambda: BaselinePoint(component_degree=2, residue_degree=1),
+     BaselinePoint(1, 2)),
+    (lambda: RingShape((2, 3)), lambda: RingShape([2, 3]), RingShape((3, 2))),
+    (lambda: BrauerVector(3, (1, 2)), lambda: BrauerVector(p=3, coords=[1, 2]),
+     BrauerVector(5, (1, 2))),
+]
+
+
+@pytest.mark.parametrize("make, make_again, other", CASES)
+def test_structural_equality_and_hashing(make, make_again, other):
+    first, second = make(), make_again()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != other
+    assert len({first, second, other}) == 2
+
+
+FIELD = {AlgebraShape: "index", BaselinePoint: "residue_degree", RingShape: "bounds",
+         BrauerVector: "p"}
+
+
+@pytest.mark.parametrize("make, make_again, other", CASES)
+def test_immutable_with_a_readable_repr(make, make_again, other):
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, FIELD[type(value)], None)
+    assert repr(value).startswith(type(value).__name__ + "(")
+    assert f"{FIELD[type(value)]}=" in repr(value)
+
+
+def test_distinct_types_are_unequal():
+    assert BaselinePoint(2, 1) != (2, 1)
+    assert RingShape((2, 2)) != ChowClass(RingShape((2, 2)), {})
+
+
+def test_brauer_vector_length_is_its_coordinate_count():
+    assert len(BrauerVector(3, (1, 0, 2))) == 3
+
+
+def test_chow_class_hash_follows_its_shape_and_terms():
+    shape = RingShape((2, 2))
+    a = ChowClass(shape, {(1, 0): 1, (0, 1): 1})
+    b = ChowClass(RingShape([2, 2]), {(0, 1): 1, (1, 0): 1})
+    assert a == b and hash(a) == hash(b)
