@@ -17,8 +17,10 @@ computation,
 which is what the counterexample scenarios below evaluate.  The range
 stops at i = p^d because the model is p-periodic in i and i = p^d
 realizes the factor-1 branch.  index_reduction and prop1_case_table
-read the gcd terms from one generator, and prop1/prop2 run one scenario
-routine.  A BrauerVector keeps p as a Prime, so combine never re-checks it.
+read the gcd terms from one generator, prop1/prop2 run one scenario
+routine, and prop1's scenario and table share one instance check.  A
+BrauerVector keeps p as a Prime, and combine alone checks that two
+vectors live in one group.
 """
 
 from __future__ import annotations
@@ -85,8 +87,6 @@ def index_reduction(target: BrauerVector, fiber: BrauerVector, d: int) -> int:
     Evaluates the gcd formula over i = 1..p^d; the last index covers the
     i = 0 residue class with multiplier 1.
     """
-    if target.p != fiber.p or len(target) != len(fiber):
-        raise ValueError("target and fiber must share p and length")
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     out = 0
@@ -95,21 +95,28 @@ def index_reduction(target: BrauerVector, fiber: BrauerVector, d: int) -> int:
     return out
 
 
-def _scenario(p: Prime, d: int, exponents: tuple) -> tuple[BrauerVector, BrauerVector, dict]:
-    """A = A_1 x ... x A_n (all exponents 1), A' (`exponents`) and their report.
+def _scenario(base: BrauerVector, twisted: BrauerVector, d: int) -> dict:
+    """Report the indices of A = base (all exponents 1) and A' = twisted.
 
-    The report holds both indices over the function field of X_{p^d}(A);
-    a pair other than (p^d, p^n) raises ConsistencyError.
+    Both are taken over the function field of X_{p^d}(A); a pair other
+    than (p^d, p^n) raises ConsistencyError.
     """
-    base = BrauerVector(p, (1,) * len(exponents))
-    twisted = BrauerVector(p, exponents)
+    p = base.p
     computed = (index_reduction(base, base, d), index_reduction(twisted, base, d))
-    expected = (p**d, p ** len(exponents))
+    expected = (p**d, p ** len(base))
     if computed != expected:
         raise ConsistencyError(f"expected {expected}, computed {computed}")
-    report = {"exponents_of_A_prime": twisted.coords,
-              "index_of_A": computed[0], "index_of_A_prime": computed[1]}
-    return base, twisted, report
+    return {"exponents_of_A_prime": twisted.coords,
+            "index_of_A": computed[0], "index_of_A_prime": computed[1]}
+
+
+def _prop1_instance(p: int) -> tuple[BrauerVector, BrauerVector]:
+    """A = (1, ..., 1) and A' = (1, 1, 2, ..., p - 1), for a prime p >= 3 with p^p in the limit."""
+    p = Prime(p)
+    if p < 3:
+        raise ValueError(f"prop1 needs p >= 3 (the exponent pattern degenerates at p=2), got {p}")
+    refuse_oversized("p^p", p * p.bit_length())
+    return BrauerVector(p, (1,) * p), BrauerVector(p, (1, 1) + tuple(range(2, p)))
 
 
 def prop1_scenario(p: int) -> dict:
@@ -122,13 +129,8 @@ def prop1_scenario(p: int) -> dict:
     divisible by p^p.  Raises ConsistencyError if the computed pair is
     not (p^2, p^p), and refuses p^p past the size limit up front.
     """
-    p = Prime(p)
-    if p < 3:
-        raise ValueError(
-            f"the scenario needs p >= 3 (the exponent pattern degenerates at p=2), got {p}"
-        )
-    refuse_oversized("p^p", p * p.bit_length())
-    return {"p": p, **_scenario(p, 2, (1, 1) + tuple(range(2, p)))[2]}
+    base, twisted = _prop1_instance(p)
+    return {"p": base.p, **_scenario(base, twisted, 2)}
 
 
 def prop1_case_table(p: int) -> list[dict]:
@@ -143,12 +145,8 @@ def prop1_case_table(p: int) -> list[dict]:
 
     A bucket mismatch raises ConsistencyError.
     """
-    p = Prime(p)
-    if p < 3:
-        raise ValueError(f"the case table needs p >= 3, got {p}")
-    refuse_oversized("p^p", p * p.bit_length())
-    base = BrauerVector(p, (1,) * p)
-    twisted = BrauerVector(p, (1, 1) + tuple(range(2, p)))
+    base, twisted = _prop1_instance(p)
+    p = base.p
     p2 = p * p
     rows = []
     for i, factor, idx in _terms(twisted, base, 2):
@@ -193,7 +191,8 @@ def prop2_scenario(p: int, d: int, n: int) -> dict:
     p = Prime(p)
     if not 0 < d < n < p:
         raise ValueError(f"need 0 < d < n < p, got d={d}, n={n}, p={p}")
-    base, twisted, report = _scenario(p, d, tuple(range(1, n + 1)))
+    base, twisted = BrauerVector(p, (1,) * n), BrauerVector(p, tuple(range(1, n + 1)))
+    report = _scenario(base, twisted, d)
     if index_reduction(twisted, base, 1) != p**n:
         raise ConsistencyError("d=1 reduction disagrees with the d>=1 scenario")
     return {"p": p, "d": d, "n": n, **report}

@@ -13,8 +13,9 @@ degree-p extension: such a presentation would produce a subvariety of
 codimension p^{rp} - p^r - p - 1 whose degree has valuation exactly
 rp - r, and the certificate records that this undershoots the lower
 bound.  proof_inequalities establishes the same violation symbolically,
-with no minimization at all, checking at most ceil((rp - r)/p) valuations
-of numbers below rp + p + 1.  p^{rp} and p^r are held to the size limit.
+with no minimization and no big number, in at most ceil((rp - r)/p)
+valuations of numbers below rp + p + 1.  One instance check limits p^{rp}
+for the certificate and the symbolic loop alike; p^r has the same limit.
 """
 
 from __future__ import annotations
@@ -71,12 +72,12 @@ class CorestrictionCertificate(NamedTuple):
     violated: bool
 
 
-def _certificate_instance(p: int, r: int) -> tuple[int, int, int, int]:
-    """Check a certificate instance; return (p, n, codim, observed).
+def _certificate_instance(p: int, r: int) -> Prime:
+    """Check that p is an odd prime and r >= 1; return p as a Prime.
 
-    p is an odd prime, r >= 1, n = rp (inner degree p^r over a degree-p
-    extension, s = 1), codim = p^n - p^r - p - 1 and observed = rp - r.
-    p^n is refused past the size limit before it is built.
+    The ambient degree is p^{rp} (inner degree p^r over a degree-p
+    extension, s = 1).  Its estimate, r*p*bit_length(p) bits, is refused
+    past the size limit.  Only corestriction_certificate builds p^{rp}.
     """
     p = Prime(p)
     if p == 2:
@@ -86,23 +87,18 @@ def _certificate_instance(p: int, r: int) -> tuple[int, int, int, int]:
         )
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    n = r * p
-    refuse_oversized("p^(r*p)", n * p.bit_length())
-    return p, n, p**n - p**r - p - 1, n - r
+    refuse_oversized("p^(r*p)", r * p * p.bit_length())
+    return p
 
 
 def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
     """Closed-form certificate for the degree-p^{rp}, period-p case."""
-    p, n, codim, observed = _certificate_instance(p, r)
+    p = _certificate_instance(p, r)
+    n = r * p
+    codim = p**n - p**r - p - 1
     lower = karpenko_lower_bound(p, n, codim)
-    return CorestrictionCertificate(
-        p=p,
-        r=r,
-        codim=codim,
-        observed_valuation=observed,
-        lower_bound=lower,
-        violated=observed < lower,
-    )
+    return CorestrictionCertificate(p=p, r=r, codim=codim, observed_valuation=n - r,
+                                    lower_bound=lower, violated=n - r < lower)
 
 
 class AuxiliaryInequalities(NamedTuple):
@@ -128,26 +124,27 @@ def auxiliary_inequalities(p: int, r: int) -> AuxiliaryInequalities:
 
 
 def proof_inequalities(p: int, r: int) -> bool:
-    """Symbolic certificate: no loop over the full codimension range.
+    """Symbolic certificate: no minimization, and no number past rp + p + 1.
 
-    Verifies, for k = p^{rp} - p^r - p - 1 and observed valuation rp - r:
+    Establishes, for k = p^{rp} - p^r - p - 1 and observed valuation rp - r:
 
     (a) rp - r < k, so the { k } branch of the minimum cannot save the
         corestriction presentation; and
     (b) v_p(k - i) < r + i for every i in [0, k-1], so no loop branch
         can either.
 
+    (a) holds for every odd p and r >= 1, so it is proved, not computed:
+    p^{rp} >= p^{3r} >= 9p^r, and p^r >= 1 + r(p - 1) and p^r >= p, so
+    k - (rp - r) >= (p^r - 1 - r(p - 1)) + (p^r - p) + 6p^r > 0.
     (b) needs no check for i >= rp - r: there 0 < k - i < p^{rp} gives
-    v_p(k - i) <= rp - 1 < rp <= r + i.  Nor for i not congruent to k
-    mod p: there v_p(k - i) = 0 < r + i.  The remaining i < min(rp - r, k)
-    with i = k mod p are checked term by term, so the work is at most
-    ceil((rp - r)/p) valuations, each of a number below rp + p + 1:
-    k - i = p^{rp} - p^r - (p + 1 + i) has v_p(k - i) = v_p(p + 1 + i)
-    while that is below r, and it is, for odd p and i < rp - r: p + 1 + i
-    lies strictly between p and 2p at r = 1, and below p^r at r >= 2.
-    The instance is checked, and limited in size, exactly as for
-    corestriction_certificate.
+    v_p(k - i) <= rp - 1 < rp <= r + i.  Nor for i other than p - 1 mod p
+    (k is p - 1 mod p): there v_p(k - i) = 0 < r + i.  The remaining
+    i = p - 1, 2p - 1, ... below rp - r are checked term by term, at most
+    ceil((rp - r)/p) valuations: k - i = p^{rp} - p^r - (p + 1 + i) has
+    v_p(k - i) = v_p(p + 1 + i) while that is below r, and it is: no i is
+    left at r = 1, and p + 1 + i <= rp + p - r < p^r at r >= 2.  The
+    instance is checked as for corestriction_certificate, whose size limit
+    on p^{rp} bounds the loop.
     """
-    p, _, k, observed = _certificate_instance(p, r)
-    return observed < k and all(
-        vp(p, p + 1 + i) < r + i for i in range(k % p, min(observed, k), p))
+    p = _certificate_instance(p, r)
+    return all(vp(p, p + 1 + i) < r + i for i in range(p - 1, r * p - r, p))

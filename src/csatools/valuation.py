@@ -110,7 +110,8 @@ class Prime(int):
 def vp(p: int, n: int) -> int:
     """Largest e such that p^e divides n, for n >= 1.
 
-    v_p(0) would be infinite, so n = 0 is rejected.
+    v_p(0) would be infinite, so n = 0 is rejected.  Each run divides by
+    p, p, p^2, p^4, ... while that divides: O(log^2 v) divisions, not v.
     """
     p = Prime(p)
     if n < 1:
@@ -118,7 +119,13 @@ def vp(p: int, n: int) -> int:
     v = 0
     while n % p == 0:
         n //= p
-        v += 1
+        q, e = p, 1  # q = p^e, what this run has divided out so far
+        while n % q == 0:
+            n //= q
+            q, e = q * q, e + e
+        v += e
+        if e == 1:  # p itself no longer divides
+            break
     return v
 
 

@@ -115,6 +115,11 @@ class TestIndexReduction:
                 ws = BrauerVector(5, tuple(coords_w[j] for j in perm))
                 assert index_reduction(vs, ws, 2) == base
 
+    def test_rejects_vectors_from_different_groups(self):
+        for fiber in (BrauerVector(3, (1, 1, 1)), BrauerVector(5, (1, 1))):
+            with pytest.raises(ValueError, match="different groups"):
+                index_reduction(BrauerVector(3, (1, 1)), fiber, 1)
+
     def test_rejects_bad_d(self):
         v = BrauerVector(3, (1, 1))
         with pytest.raises(ValueError):
@@ -129,8 +134,9 @@ class TestScenarios:
         assert report["index_of_A_prime"] == p**p
 
     def test_prop1_rejects_p2(self):
-        with pytest.raises(ValueError):
-            prop1_scenario(2)
+        for route in (prop1_scenario, prop1_case_table):
+            with pytest.raises(ValueError, match="p >= 3"):
+                route(2)
 
     def test_prop1_table_rows_p3(self):
         rows = {row["i"]: row for row in prop1_case_table(3)}

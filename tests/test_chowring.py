@@ -80,6 +80,11 @@ class TestOperations:
             (0, 0, 1): 1,
         }
 
+    def test_hyperplane_rejects_factor_out_of_range(self):
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                hyperplane(RingShape((2, 3)), i)
+
     def test_multiply_examples(self):
         shape = RingShape((2, 2))
         l1 = hyperplane(shape, 0)

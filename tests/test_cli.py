@@ -339,6 +339,13 @@ class TestVpFlag:
         assert cli.run(["multinomial", "--top", "2", "--parts", "1,1", "--vp"]) == 2
         capsys.readouterr()
 
+    def test_large_valuation_is_quick(self, capsys):
+        # vp divides by p, p^2, p^4, ..., not once per unit of valuation
+        started = time.perf_counter()
+        pairs = run_pairs(capsys, "bound improvement --p 3 --k 0 --n 200000 --vp".split())
+        assert time.perf_counter() - started < 5
+        assert pairs["vp(baseline)"] == "200000"
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
@@ -382,6 +389,14 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("usage error: unknown suite 'bogus'")
         assert all(name in captured.err for name in verify.suite_names())
+
+    def test_library_checks_every_name_before_running(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(verify._SUITES, "known-values", lambda: ran.append(1))
+        with pytest.raises(ValueError, match="unknown suite 'bogus'") as excinfo:
+            verify.run_suites(["known-values", "bogus"])
+        assert all(name in str(excinfo.value) for name in verify.suite_names())
+        assert ran == []
 
     def test_json_record(self, capsys):
         line = get_json(capsys, ["verify", "--suite", "known-values"])

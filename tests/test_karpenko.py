@@ -73,6 +73,8 @@ class TestLowerBound:
             karpenko_lower_bound(3, 0, 1)
         with pytest.raises(ValueError):
             karpenko_lower_bound(3, 1, 0)
+        with pytest.raises(ValueError):
+            karpenko_lower_bound_grouped(3, 0, 1)
 
 
 class TestCertificate:
@@ -103,6 +105,13 @@ class TestCertificate:
     def test_refuses_p2(self):
         with pytest.raises(ValueError, match="odd"):
             corestriction_certificate(2, 1)
+
+    @pytest.mark.parametrize(
+        "route", [corestriction_certificate, proof_inequalities, auxiliary_inequalities]
+    )
+    def test_refuses_r0(self, route):
+        with pytest.raises(ValueError, match="r must be positive"):
+            route(3, 0)
 
     def test_p7_r2(self):
         cert = corestriction_certificate(7, 2)  # codimension about 6.8 * 10^11

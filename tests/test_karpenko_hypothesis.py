@@ -4,18 +4,26 @@ The library's karpenko_lower_bound is checked against the literal
 minimum for small codimensions and against the grouped route in verify
 for codimensions up to 10^40.  The shapes p^e * m and p^e - m put long
 runs of zero or p - 1 digits at the low end of codim, where the early
-exit of the digit walk fires late or never.  The profile is
-derandomized, so every run draws the same examples.
+exit of the digit walk fires late or never.  The symbolic certificate,
+which builds no p^{rp}, is checked against the closed-form certificate,
+which does.  The profile is derandomized, so every run draws the same
+examples.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csatools.karpenko import karpenko_lower_bound
+from csatools.karpenko import (
+    corestriction_certificate,
+    karpenko_lower_bound,
+    proof_inequalities,
+)
 from csatools.verify import karpenko_lower_bound_grouped
 from test_karpenko import minimum_by_definition
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 11))
+ODD_PRIMES = st.sampled_from((3, 5, 7, 11, 13, 101))
+CERTIFICATE_BITS = 4096  # largest r*p*bit_length(p) drawn
 FIXED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
 
@@ -43,3 +51,10 @@ def test_matches_definition(p, n, codim):
 def test_matches_grouped_route(case, n):
     p, codim = case
     assert karpenko_lower_bound(p, n, codim) == karpenko_lower_bound_grouped(p, n, codim)
+
+
+@FIXED
+@given(st.data(), ODD_PRIMES)
+def test_symbolic_route_matches_certificate(data, p):
+    r = data.draw(st.integers(1, CERTIFICATE_BITS // (p * p.bit_length())))
+    assert proof_inequalities(p, r) == corestriction_certificate(p, r).violated

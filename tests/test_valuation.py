@@ -131,6 +131,15 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             vp_factorial_k_times_prime_power(3, k, 1)
 
+    @pytest.mark.parametrize("route,args", [
+        (vp_factorial_prime_power, (3, -1)),
+        (vp_factorial_misc, (3, -1, 1)),
+        (vp_factorial_misc, (3, 1, -1)),
+    ])
+    def test_rejects_negative_exponents(self, route, args):
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(*args)
+
     def test_misc_examples(self):
         assert vp_factorial_misc(3, 1, 1) == 2  # v_3(6!)
         assert vp_factorial_misc(2, 0, 1) == 0  # (2-1)! = 1
