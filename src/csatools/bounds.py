@@ -130,11 +130,11 @@ def cofactor_m(p: int, k: int, n: int) -> int:
 def prime_power_bound(p: int, k: int, n: int) -> BoundReport:
     """Splitting degree p^{n(p^k - 1)} * m with m coprime to p.
 
-    The p-part is built after m, so cofactor_m's size check bounds it too.
+    cofactor_m runs first and makes the one check of (p, k, n), so p is
+    prime and the p-part is built within that check's size limit.
     verify's bound-valuation suite checks gcd(m, p) = 1 and
     v_p(total) = n(p^k - 1) independently.
     """
-    p = _prime_power_instance(p, k, n)
     m = cofactor_m(p, k, n)
     p_part = p ** (n * (p**k - 1))
     total = p_part * m

@@ -185,14 +185,12 @@ def prop2_scenario(p: int, d: int, n: int) -> dict:
 
     Takes A = A_1 x ... x A_n (exponents all 1) and A' with exponents
     (1, 2, ..., n), over the function field of X_{p^d}(A).  The computed
-    pair must be (p^d, p^n); the d = 1 reduction (where the per-term
-    case values are easiest to see) is re-checked as well.
+    pair must be (p^d, p^n), from two index_reduction calls.  No d = 1
+    reduction is re-run here: verify's brauer-model suite runs d = 1 as
+    a scenario of its own for every (p, n) it covers.
     """
     p = Prime(p)
     if not 0 < d < n < p:
         raise ValueError(f"need 0 < d < n < p, got d={d}, n={n}, p={p}")
     base, twisted = BrauerVector(p, (1,) * n), BrauerVector(p, tuple(range(1, n + 1)))
-    report = _scenario(base, twisted, d)
-    if index_reduction(twisted, base, 1) != p**n:
-        raise ConsistencyError("d=1 reduction disagrees with the d>=1 scenario")
-    return {"p": p, "d": d, "n": n, **report}
+    return {"p": p, "d": d, "n": n, **_scenario(base, twisted, d)}

@@ -52,7 +52,8 @@ class ChowClass(Frozen):
     """A sparse element of Z[l1,...,lm]/(l_i^{d_i}).
 
     terms maps exponent vectors (tuples of length m) to nonzero integer
-    coefficients.  Normalization happens at construction; instances are
+    coefficients.  Normalization happens at construction, the one home of
+    l_i^{d_i} = 0 for outside input and multiply alike; instances are
     treated as immutable afterwards, so they are safe to share between
     threads.
     """
@@ -138,16 +139,13 @@ def hyperplane_sum(shape) -> ChowClass:
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
-    """Ring product: distribute, add exponents, truncate at the bounds."""
+    """Ring product: distribute, add exponents; ChowClass truncates at the bounds."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape.bounds} vs {b.shape.bounds}")
-    bounds = a.shape.bounds
     out: dict[tuple[int, ...], int] = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            if any(x >= d for x, d in zip(e, bounds)):
-                continue
             out[e] = out.get(e, 0) + ca * cb
     return ChowClass(a.shape, out)
 

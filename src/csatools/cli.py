@@ -10,7 +10,8 @@ one stable single-line record with `--format json-like-stable-schema`:
 with every number as a full decimal string and field order fixed, so the
 emitted record re-renders byte-identically after parsing.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 internal-consistency
-failure.  `--vp` (offered exactly on the subcommands that take `--p`)
+failure, and 141 from main() when the reader closes stdout early.
+`--vp` (offered exactly on the subcommands that take `--p`)
 additionally reports the p-adic valuation of each numeric output.
 
 Each subcommand is one row of the table COMMANDS: help text, flags in
@@ -29,6 +30,7 @@ it on first use, so one call loads only the module its subcommand needs:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -149,13 +151,14 @@ def _vp_factorial(a) -> Result:
 
 def _segre_degree(a) -> Result:
     shape = cs.chowring.RingShape(a.shape)
-    top_power = cs.chowring.power(cs.chowring.hyperplane_sum(shape), shape.dimension)
-    expansion = cs.chowring.point_degree(top_power)
+    expansion = cs.chowring.segre_degree_expansion(shape)
     closed = cs.chowring.segre_degree_closed_form(shape)
     if expansion != closed:
         raise ConsistencyError(
             f"expansion {expansion} != closed form {closed} on shape {shape.bounds}"
         )
+    # the top monomial is the only one of degree sum(d_i - 1) inside the box
+    top_power = cs.chowring.ChowClass(shape, {shape.top_monomial: expansion})
     outputs = {"expansion": expansion, "closed_form": closed, "agree": True,
                "top_power_class": top_power.to_text()}
     return Result(outputs, [
@@ -454,4 +457,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head` does).  Point stdout at devnull
+        # so the flush at exit cannot fail again, and exit with 128 + SIGPIPE,
+        # as a Unix tool cut off by its reader does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

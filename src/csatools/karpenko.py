@@ -92,7 +92,19 @@ def _certificate_instance(p: int, r: int) -> Prime:
 
 
 def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
-    """Closed-form certificate for the degree-p^{rp}, period-p case."""
+    """Closed-form certificate for the degree-p^{rp}, period-p case.
+
+    lower_bound is always rp, so it exceeds the observed rp - r by r; the
+    route still computes it.  With k = codim, the v = 0 candidate of
+    karpenko_lower_bound is (k mod 1) + rp - 0 = rp.  The { k } branch is
+    larger: p^{rp} >= p^{3r} >= 9p^r and p^r >= rp >= p, so k >= 7p^r - 1
+    > rp.  A candidate v >= 1 is (k mod p^v) + rp - v, at least rp iff
+    k mod p^v >= v.  p^v <= k < p^{rp} gives v < rp, so
+    k = -s (mod p^v) with s = p^r + p + 1.  At v = 1, k mod p = p - 1 >= 1.
+    At v >= 2, s mod p^v is p + 1 (v <= r) or s (v > r); both are positive
+    and at most 2p^{v-1} + 1, so k mod p^v >= p^v - 2p^{v-1} - 1
+    >= p^{v-1} - 1 >= 3^{v-1} - 1 >= v.
+    """
     p = _certificate_instance(p, r)
     n = r * p
     codim = p**n - p**r - p - 1

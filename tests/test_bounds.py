@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from csatools import bounds
 from csatools.bounds import (
     AlgebraShape,
     BaselinePoint,
@@ -128,6 +129,19 @@ class TestPrimePowerBound:
         assert report.p_part == 625
         assert report.cofactor == 488864376
         assert vp(5, report.total) == 4
+
+    def test_checks_the_instance_once(self, monkeypatch):
+        # cofactor_m makes the one check; prime_power_bound adds none
+        calls = []
+        check_instance = bounds._prime_power_instance
+
+        def counting_instance(p, k, n):
+            calls.append((p, k, n))
+            return check_instance(p, k, n)
+
+        monkeypatch.setattr(bounds, "_prime_power_instance", counting_instance)
+        assert prime_power_bound(3, 1, 1).total == 90
+        assert calls == [(3, 1, 1)]
 
     def test_valuation_identity_sweep(self):
         for p in (2, 3, 5):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from csatools import valuation
+from csatools import brauer, valuation
 from csatools.brauer import (
     BrauerVector,
     combine,
@@ -169,6 +169,18 @@ class TestScenarios:
                     report = prop2_scenario(p, d, n)
                     assert report["index_of_A"] == p**d
                     assert report["index_of_A_prime"] == p**n
+
+    def test_prop2_reduces_twice(self, monkeypatch):
+        # d = 1 is not re-run: verify's brauer-model suite covers it as a scenario
+        calls = []
+
+        def counting_index_reduction(target, fiber, d):
+            calls.append(d)
+            return index_reduction(target, fiber, d)
+
+        monkeypatch.setattr(brauer, "index_reduction", counting_index_reduction)
+        assert prop2_scenario(7, 2, 4)["index_of_A_prime"] == 7**4
+        assert calls == [2, 2]
 
     def test_prop2_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -173,6 +173,14 @@ class TestSegreDegrees:
             assert multiply(top, h).is_zero()
             assert power(h, shape.dimension + 2).is_zero()
 
+    def test_top_power_is_the_point_class_times_the_expansion(self):
+        # the top monomial is the only monomial of degree sum(d_i - 1) in the box
+        for m in range(1, 5):
+            for bounds in itertools.product(range(1, 6), repeat=m):
+                shape = RingShape(bounds)
+                point = ChowClass(shape, {shape.top_monomial: segre_degree_expansion(shape)})
+                assert point == power(hyperplane_sum(shape), shape.dimension)
+
 
 class TestRingLaws:
     def test_commutative_associative_unit(self):

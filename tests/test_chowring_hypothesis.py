@@ -1,15 +1,22 @@
-"""Randomized differential test of the Segre degree's two routes.
+"""Randomized differential tests of the Chow ring.
 
 The ring expansion of (l_1 + ... + l_m)^(sum d_i - m) is checked against
 the multinomial closed form for 1 to 5 factors whose bounds multiply to
-at most 600, the rank of the ring the expansion works in.  The profile
-is derandomized, so every run draws the same examples.
+at most 600, the rank of the ring the expansion works in.  multiply is
+checked against a product that keeps the monomials outside the box and
+truncates only at the end.  The profile is derandomized, so every run
+draws the same examples.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csatools.chowring import segre_degree_closed_form, segre_degree_expansion
+from csatools.chowring import (
+    ChowClass,
+    multiply,
+    segre_degree_closed_form,
+    segre_degree_expansion,
+)
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 RANK_LIMIT = 600
@@ -36,3 +43,29 @@ def shapes(draw):
 @given(shapes())
 def test_expansion_matches_closed_form(shape):
     assert segre_degree_expansion(shape) == segre_degree_closed_form(shape)
+
+
+@st.composite
+def class_pairs(draw):
+    """Two classes on one shape of 1 to 4 factors with bounds 1 to 5."""
+    bounds = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    monomials = st.tuples(*(st.integers(0, d - 1) for d in bounds))
+    terms = st.dictionaries(monomials, st.integers(-9, 9), max_size=8)
+    return ChowClass(bounds, draw(terms)), ChowClass(bounds, draw(terms))
+
+
+def product_truncated_at_the_end(a, b):
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items()
+            if c and all(x < d for x, d in zip(e, a.shape.bounds))}
+
+
+@FIXED
+@given(class_pairs())
+def test_multiply_matches_truncation_at_the_end(pair):
+    a, b = pair
+    assert multiply(a, b).terms == product_truncated_at_the_end(a, b)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import csatools
-from csatools import bounds, cli, karpenko, verify
+from csatools import bounds, chowring, cli, karpenko, verify
 from csatools.errors import ConsistencyError
 
 
@@ -83,6 +83,13 @@ class TestBasicCommands:
         assert pairs["closed_form"] == "2"
         assert pairs["agree"] == "true"
         assert pairs["top_power_class"] == "2·l1^1*l2^1"
+
+    @pytest.mark.parametrize("shape", ["1", "1,3", "2,1,4", "3,1,1,2"])
+    def test_segre_top_power_class_with_trivial_factors(self, capsys, shape):
+        pairs = run_pairs(capsys, ["segre-degree", "--shape", shape])
+        ring = chowring.RingShape(tuple(map(int, shape.split(","))))
+        top = chowring.power(chowring.hyperplane_sum(ring), ring.dimension)
+        assert pairs["top_power_class"] == top.to_text()
 
     def test_bound_general(self, capsys):
         pairs = run_pairs(
@@ -427,6 +434,22 @@ class TestProcessEntryPoint:
         composite = run("vp", "--p", "6", "--n", "18")
         assert composite.returncode == 1
         assert "not a prime" in composite.stderr
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # the answer, 3^300000, is longer than a pipe's buffer, so the CLI
+        # is still writing when the reader closes its end, as `| head -c 10` does
+        argv = ["bound", "improvement", "--p", "3", "--k", "0", "--n", "300000"]
+        proc = subprocess.Popen([sys.executable, "-m", "csatools", *argv], env=_child_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert err == b""
+        assert proc.returncode == 141
 
 
 # Imports csatools.cli, runs the argv given (if any), and prints on its last

@@ -6,8 +6,9 @@ for codimensions up to 10^40.  The shapes p^e * m and p^e - m put long
 runs of zero or p - 1 digits at the low end of codim, where the early
 exit of the digit walk fires late or never.  The symbolic certificate,
 which builds no p^{rp}, is checked against the closed-form certificate,
-which does.  The profile is derandomized, so every run draws the same
-examples.
+which does, and the certificate's lower bound is pinned to rp, as its
+docstring proves.  The profile is derandomized, so every run draws the
+same examples.
 """
 
 from hypothesis import given, settings
@@ -58,3 +59,10 @@ def test_matches_grouped_route(case, n):
 def test_symbolic_route_matches_certificate(data, p):
     r = data.draw(st.integers(1, CERTIFICATE_BITS // (p * p.bit_length())))
     assert proof_inequalities(p, r) == corestriction_certificate(p, r).violated
+
+
+@FIXED
+@given(st.data(), ODD_PRIMES)
+def test_certificate_lower_bound_is_rp(data, p):
+    r = data.draw(st.integers(1, CERTIFICATE_BITS // (p * p.bit_length())))
+    assert corestriction_certificate(p, r).lower_bound == r * p
