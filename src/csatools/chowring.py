@@ -6,10 +6,11 @@ the i-th factor.  Classes are kept sparse and canonical: a monomial with
 some exponent e_i >= d_i is identically zero and is dropped eagerly, as
 are zero coefficients, so equality of classes is structural equality.
 
-The degree of the Segre image is computed two independent ways: by
-expanding the top power of the hyperplane sum in the ring, and by a
-single multinomial coefficient.  Agreement of the two routes is one of
-the package's standing cross-checks.
+The degree of the Segre image is computed here by expanding the top
+power of the hyperplane sum in the ring, and by a single multinomial
+coefficient.  `verify` checks the closed form against a third, linear
+expansion of its own (segre_degree_walk); agreement of the routes is one
+of the package's standing cross-checks.
 """
 
 from __future__ import annotations
@@ -74,10 +75,11 @@ class ChowClass(Frozen):
                 raise ValueError(f"negative exponent in {exponents}")
             if any(e >= d for e, d in zip(exponents, bounds)):
                 continue  # l_i^{d_i} = 0
-            coeff = int(coeff)
-            if coeff == 0:
-                continue
-            clean[exponents] = clean.get(exponents, 0) + coeff
+            coeff = clean.get(exponents, 0) + int(coeff)
+            if coeff:
+                clean[exponents] = coeff
+            else:
+                clean.pop(exponents, None)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "terms", clean)
 

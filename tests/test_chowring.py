@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from csatools.chowring import (
     unit,
     zero,
 )
+from csatools.verify import segre_degree_walk
 
 
 def random_class(rng, shape):
@@ -50,6 +52,12 @@ class TestNormalization:
     def test_drops_zero_coefficients(self):
         shape = RingShape((2, 2))
         assert ChowClass(shape, {(1, 0): 0}).is_zero()
+
+    def test_keys_that_normalize_alike_and_cancel_leave_zero(self):
+        cls = ChowClass((2,), {(1,): 1, ("1",): -1})
+        assert cls.terms == {}
+        assert cls.is_zero()
+        assert cls == zero((2,))
 
     def test_merges_duplicate_keys_via_multiply(self):
         shape = RingShape((3, 3))
@@ -180,6 +188,19 @@ class TestSegreDegrees:
                 shape = RingShape(bounds)
                 point = ChowClass(shape, {shape.top_monomial: segre_degree_expansion(shape)})
                 assert point == power(hyperplane_sum(shape), shape.dimension)
+
+    def test_walk_is_linear_on_the_oversized_shape(self):
+        # 9^5 = 59,049 monomials; squaring ChowClasses here does not finish
+        shape = (9, 9, 9, 9, 9)
+        started = time.perf_counter()
+        got = segre_degree_walk(shape)
+        assert time.perf_counter() - started < 1
+        assert got == (segre_degree_closed_form(shape), True)
+
+    def test_walk_rejects_what_ring_shape_rejects(self):
+        for bounds in [(), (2, 0)]:
+            with pytest.raises(ValueError):
+                segre_degree_walk(bounds)
 
 
 class TestRingLaws:

@@ -2,10 +2,13 @@
 
 The ring expansion of (l_1 + ... + l_m)^(sum d_i - m) is checked against
 the multinomial closed form for 1 to 5 factors whose bounds multiply to
-at most 600, the rank of the ring the expansion works in.  multiply is
-checked against a product that keeps the monomials outside the box and
-truncates only at the end.  The profile is derandomized, so every run
-draws the same examples.
+at most 600, the rank of the ring the expansion works in.  On the same
+shapes, verify's packed linear walk is checked against that expansion
+and against the vanishing of the next power, so the oracle of the
+segre-degree suite agrees with the ring route it stands in for.
+multiply is checked against a product that keeps the monomials outside
+the box and truncates only at the end.  The profile is derandomized, so
+every run draws the same examples.
 """
 
 from hypothesis import given, settings
@@ -13,10 +16,14 @@ from hypothesis import strategies as st
 
 from csatools.chowring import (
     ChowClass,
+    RingShape,
+    hyperplane_sum,
     multiply,
+    power,
     segre_degree_closed_form,
     segre_degree_expansion,
 )
+from csatools.verify import segre_degree_walk
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 RANK_LIMIT = 600
@@ -43,6 +50,13 @@ def shapes(draw):
 @given(shapes())
 def test_expansion_matches_closed_form(shape):
     assert segre_degree_expansion(shape) == segre_degree_closed_form(shape)
+
+
+@FIXED
+@given(shapes())
+def test_walk_matches_the_ring_expansion(shape):
+    beyond = power(hyperplane_sum(shape), RingShape(shape).dimension + 1)
+    assert segre_degree_walk(shape) == (segre_degree_expansion(shape), beyond.is_zero())
 
 
 @st.composite
