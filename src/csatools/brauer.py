@@ -143,11 +143,14 @@ def prop1_case_table(p: int) -> list[dict]:
     * any other i coprime to p:                   p^2 * p^(p-1)
     * p | i:                                      p * p^p, or p^p at i = p^2
 
-    A bucket mismatch raises ConsistencyError.
+    A bucket mismatch raises ConsistencyError.  The table is the output,
+    so its size, p^2 rows of about (p + 2) * bit_length(p) bits, is
+    refused past the size limit before any row is built.
     """
     base, twisted = _prop1_instance(p)
     p = base.p
     p2 = p * p
+    refuse_oversized("the case table", p2 * (p + 2) * p.bit_length())
     rows = []
     for i, factor, idx in _terms(twisted, base, 2):
         term = factor * idx

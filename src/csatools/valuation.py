@@ -8,16 +8,41 @@ The closed forms never call the oracle and vice versa, so each side can
 be used to check the other.  refuse_oversized is the package's one size
 limit: every route that builds a big number checks its estimate first.
 Frozen is the base of the package's validated value types.
+
+Prime validates every p the package takes with is_prime_64bit, at a
+cost that grows with p: one gcd with 2 * 3 * ... * 37 decides every
+n < 41^2, and above that Miller-Rabin runs on the fewest of the bases
+2, 3, ..., 37 that are deterministic below n (one base below 2047, all
+twelve only from 3825123056546413051 on).  The 2^64 bound is one of
+correctness, not of cost, so it is not a refuse_oversized estimate.
 """
 
 from __future__ import annotations
 
 import math
 
-# Deterministic Miller-Rabin witness set, also the trial divisors: correct
-# for all n < 3.3 * 10^24, which covers every 64-bit input.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The twelve primes up to 37: the trial divisors and the Miller-Rabin bases.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BASES_PRODUCT = math.prod(_BASES)  # 7420738134810, for trial division by one gcd
+_TRIAL_CUTOFF = 41 * 41  # below it, an n with no factor up to 37 is prime
 _PRIME_CHECK_LIMIT = 2**64
+# (bound, k): the first k bases decide every n below bound (OEIS A014233),
+# and bound itself is a strong pseudoprime to those k.  A prefix that
+# reaches no further is left out: 341550071728321 also fools base 19, and
+# 3825123056546413051 also fools 29 and 31.  The twelve decide every n
+# below 318665857834031151167461 = 399165290221 * 798330580441, which
+# fools all twelve, so every n < 2^64.
+_WITNESS_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (_PRIME_CHECK_LIMIT, 12),
+)
 
 # No route builds a number estimated past this many bits: that bounds
 # memory and the time to print any answer.
@@ -61,24 +86,14 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-def is_prime_64bit(n: int) -> bool:
-    """Deterministic primality check for 0 <= n < 2**64."""
-    if n >= _PRIME_CHECK_LIMIT:
-        raise ValueError(f"primality check is deterministic only below 2**64, got {n}")
-    if n < 2:
-        return False
-    if n in _MR_WITNESSES:
-        return True
-    if any(n % q == 0 for q in _MR_WITNESSES):
-        return False
+def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
+    """True if the odd n > max(bases) passes the strong (Miller-Rabin) test to every base."""
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
+    s = (d & -d).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d >>= s
+    for a in bases:
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
             x = x * x % n
@@ -87,6 +102,26 @@ def is_prime_64bit(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime_64bit(n: int) -> bool:
+    """Deterministic primality check for 0 <= n < 2**64.
+
+    One gcd with 2 * 3 * ... * 37 does the trial division, which settles
+    every n < 41^2.  Above that, Miller-Rabin runs on the shortest prefix
+    of the bases 2, 3, ..., 37 that is deterministic below n.
+    """
+    if n >= _PRIME_CHECK_LIMIT:
+        raise ValueError(f"primality check is deterministic only below 2**64, got {n}")
+    if n < 2:
+        return False
+    if math.gcd(n, _BASES_PRODUCT) != 1:
+        return n in _BASES
+    if n < _TRIAL_CUTOFF:
+        return True
+    for bound, k in _WITNESS_TIERS:
+        if n < bound:
+            return _strong_probable_prime(n, _BASES[:k])
 
 
 class Prime(int):

@@ -218,6 +218,8 @@ class TestExitCodes:
         "prop1 --p 18446744073709551557",
         "prop1-table --p 18446744073709551557",
         "prop1 --p 4294967291",
+        "prop1-table --p 1009",
+        "prop1-table --p 67",
     ])
     def test_prop1_with_a_large_prime_is_rejected_quickly(self, capsys, argv):
         self.assert_quick_rejection(capsys, argv)

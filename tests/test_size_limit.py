@@ -20,6 +20,9 @@ MULTINOMIAL_TOP = 2**20  # bit_length 21
 MULTINOMIAL_PART = LIMIT // MULTINOMIAL_TOP.bit_length()
 # the first prime whose p^p is refused
 PROP1_PAST = next(q for q in itertools.count(2) if q * q.bit_length() > LIMIT and valuation.is_prime_64bit(q))
+# the first prime whose case table, p^2 rows of (p + 2) * bit_length(p) bits, is refused
+TABLE_PAST = next(q for q in itertools.count(3)
+                  if q * q * (q + 2) * q.bit_length() > LIMIT and valuation.is_prime_64bit(q))
 
 # route -> (call exactly at the limit, or None where that is not cheap;
 #           call one step past it; the number it names when refusing)
@@ -84,6 +87,11 @@ BOUNDARY = {
         lambda: brauer.prop1_case_table(PROP1_PAST),
         "p^p",
     ),
+    "prop1_case_table rows": (  # p^2 * (p + 2) * bit_length(p), checked after p^p
+        None,
+        lambda: brauer.prop1_case_table(TABLE_PAST),
+        "the case table",
+    ),
 }
 
 
@@ -94,3 +102,11 @@ def test_answers_at_the_limit_and_refuses_past_it(route):
         assert 0 < at().bit_length() <= LIMIT
     with pytest.raises(ValueError, match=re.escape(what) + " would have .* bits, beyond the size limit"):
         past()
+
+
+def test_case_table_answers_for_the_last_prime_before_its_limit():
+    p = max(q for q in range(3, TABLE_PAST) if valuation.is_prime_64bit(q))
+    assert (p, TABLE_PAST) == (61, 67)
+    rows = brauer.prop1_case_table(p)
+    assert len(rows) == p * p
+    assert sum(row["term"].bit_length() for row in rows) <= LIMIT

@@ -61,6 +61,58 @@ class TestPrime:
         assert not is_prime_64bit(8)
 
 
+# OEIS A014233: the smallest strong pseudoprime to the first k prime bases, k = 1..12
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+           3825123056546413051, 318665857834031151167461)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _sieve(limit):
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for q in range(2, math.isqrt(limit - 1) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, limit, q)))
+    return flags
+
+
+class TestWitnessTiers:
+    def test_tiers_are_the_distinct_a014233_bounds(self):
+        tiers = valuation._WITNESS_TIERS
+        assert tiers[-1] == (2**64, 12)
+        assert [bound for bound, _ in tiers[:-1]] == sorted(set(A014233[:-1]))
+        for bound, k in tiers[:-1]:  # k is the fewest bases that reach this bound
+            assert A014233[k - 1] == bound and (k == 1 or A014233[k - 2] < bound)
+
+    @pytest.mark.parametrize("bound,k", valuation._WITNESS_TIERS[:-1])
+    def test_each_bound_fools_its_own_tier(self, bound, k):
+        assert valuation._strong_probable_prime(bound, BASES[:k])
+        assert not is_prime_64bit(bound)  # the next tier's bases catch it
+
+    def test_merged_prefixes_are_fooled_by_the_same_bound(self):
+        # why 2..19 gets no tier of its own, nor 2..29 or 2..31
+        assert valuation._strong_probable_prime(341550071728321, BASES[:8])
+        assert valuation._strong_probable_prime(3825123056546413051, BASES[:11])
+
+    def test_twelve_bases_are_fooled_past_2_to_the_64(self):
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441 and n > 2**64
+        assert valuation._strong_probable_prime(n, BASES)
+        assert not valuation._strong_probable_prime(n, BASES + (41,))
+
+    def test_agrees_with_a_sieve_below_a_million(self):
+        limit = 10**6
+        flags = _sieve(limit)
+        assert [n for n in range(limit) if is_prime_64bit(n) != flags[n]] == []
+
+    def test_edges_of_the_cutoff_the_first_tiers_and_the_range(self):
+        # 1681 = 41^2 and 1679 = 23 * 73; 1693 and 2039 take base 2 alone
+        for n, prime in ((40, False), (41, True), (1679, False), (1681, False), (1693, True),
+                         (2039, True), (1373651, False), (2**64 - 59, True), (2**64 - 1, False)):
+            assert is_prime_64bit(n) is prime, n
+
+
 class TestVp:
     def test_examples(self):
         assert vp(3, 18) == 2

@@ -4,7 +4,10 @@ Each closed form for v_p of a factorial is compared with the Legendre
 oracle at its own argument (p^n, k p^n, or p^k (p^n - 1)), kept within
 ORACLE_RANGE.  The multinomial is checked against full factorials,
 and vp against a number built with a known p-adic valuation.  The
-profile is derandomized, so every run draws the same examples.
+tiered primality check is compared with the full twelve-base
+Miller-Rabin loop on random n < 2^64 and on products of two primes near
+2^32, the hard composites.  The profile is derandomized, so every run
+draws the same examples.
 """
 
 import math
@@ -13,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csatools.valuation import (
+    is_prime_64bit,
     multinomial,
     vp,
     vp_factorial_k_times_prime_power,
@@ -24,6 +28,35 @@ from csatools.valuation import (
 ORACLE_RANGE = 10**8  # largest oracle argument drawn
 FIXED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 PRIMES = st.sampled_from((2, 3, 5, 7, 11, 13, 31, 97, 9973))
+
+
+def twelve_base_is_prime(n):
+    """Trial division by the primes up to 37, then Miller-Rabin to all twelve as bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    if any(n % q == 0 for q in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# every prime in the 2^16 integers below 2^32; a product of two is below 2^64.
+# Deferred, so the sieve runs only when a test draws from it.
+PRIMES_NEAR_2_32 = st.deferred(lambda: st.sampled_from(
+    [n for n in range(2**32 - 2**16, 2**32) if twelve_base_is_prime(n)]))
 
 
 def top_exponent(p, times=1):
@@ -70,3 +103,17 @@ def test_multinomial_times_part_factorials_is_top_factorial(parts):
 def test_vp_of_known_valuation(p, e, m):
     assume(m % p != 0)
     assert vp(p, p**e * m) == e
+
+
+@FIXED
+@given(st.integers(0, 2**64 - 1))
+def test_is_prime_matches_the_twelve_base_loop(n):
+    assert is_prime_64bit(n) == twelve_base_is_prime(n)
+
+
+@FIXED
+@given(PRIMES_NEAR_2_32, PRIMES_NEAR_2_32)
+def test_rejects_products_of_two_primes_near_2_to_the_32(p, q):
+    assert not is_prime_64bit(p * q)
+    assert not twelve_base_is_prime(p * q)
+    assert is_prime_64bit(p)
