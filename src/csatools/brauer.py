@@ -20,7 +20,9 @@ realizes the factor-1 branch.  index_reduction and prop1_case_table
 read the gcd terms from one generator, prop1/prop2 run one scenario
 routine, and prop1's scenario and table share one instance check.  A
 BrauerVector keeps p as a Prime, and combine alone checks that two
-vectors live in one group.
+vectors live in one group.  `verify` checks index_reduction against the
+gcd written as a minimum over the p - 1 nonzero shifts
+(index_reduction_by_min_form), which uses none of this module.
 """
 
 from __future__ import annotations

@@ -117,19 +117,6 @@ def unit(shape) -> ChowClass:
     return ChowClass(shape, {(0,) * shape.factors: 1})
 
 
-def zero(shape) -> ChowClass:
-    return ChowClass(_as_shape(shape), {})
-
-
-def hyperplane(shape, i: int) -> ChowClass:
-    """The class l_i (0-based factor index)."""
-    shape = _as_shape(shape)
-    if not 0 <= i < shape.factors:
-        raise ValueError(f"factor index {i} out of range for {shape.bounds}")
-    exponents = tuple(1 if j == i else 0 for j in range(shape.factors))
-    return ChowClass(shape, {exponents: 1})
-
-
 def hyperplane_sum(shape) -> ChowClass:
     """l_1 + ... + l_m, the pullback of the ambient hyperplane class."""
     shape = _as_shape(shape)

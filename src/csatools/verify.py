@@ -6,20 +6,22 @@ structural invariants of every module.  Suites are deterministic (any
 randomness is seeded) and sized for desk-scale runtimes, so `verify
 --all` doubles as a smoke test of the whole package.
 
-This module also hosts two oracles, kept here rather than in the
+This module also hosts three oracles, kept here rather than in the
 library proper so each stays independent of the route it checks:
 karpenko_lower_bound_grouped, a structurally different
 re-implementation of the cycle-bound minimum (the largest term of each
 valuation class instead of the library's walk over the p-adic digits of
-the codimension), and segre_degree_walk, a ring expansion of the Segre
+the codimension); segre_degree_walk, a ring expansion of the Segre
 degree over packed monomials that uses neither the multinomial nor
-chowring's classes.
+chowring's classes; and index_reduction_by_min_form, the index-reduction
+gcd as a minimum over p - 1 shifts, on raw residues.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -104,6 +106,31 @@ def segre_degree_walk(bounds) -> tuple[int, bool]:
     for _ in range(sum(bounds) - len(bounds)):
         layer = times_h(layer)
     return layer.get(stride - 1, 0), not times_h(layer)
+
+
+def index_reduction_by_min_form(p: int, target, fiber, d: int) -> int:
+    """min(index(B), p^d * min over c = 1..p-1 of index(B + c*A)), B = target, A = fiber.
+
+    Every term of the index-reduction gcd is a power of p, so the gcd is
+    its least term: terms with p | i are at least index(B), the one at
+    i = p^d equals it, and one with p coprime to i is p^d * index(B + c*A)
+    for c = i mod p.  index(x) = p^(number of x's coordinates not
+    divisible by p), evaluated on raw residues in O(p * n).
+    """
+    def index(coords) -> int:
+        return p ** sum(1 for x in coords if x % p)
+
+    shifted = min(index([b + c * a for a, b in zip(fiber, target)]) for c in range(1, p))
+    return min(index(target), p**d * shifted)
+
+
+def _read(read, run, *args):
+    """read(run(*args)), or the ConsistencyError run raised, which equals no expected value."""
+    try:
+        report = run(*args)
+    except ConsistencyError as exc:
+        return exc
+    return read(report)
 
 
 def _partitions(total: int, maximum: int | None = None):
@@ -350,65 +377,32 @@ def suite_karpenko_certificates() -> SuiteResult:
 
 
 def suite_brauer_model() -> SuiteResult:
-    """Counterexample scenarios, case tables, and model invariants."""
-    r = SuiteResult("brauer-model")
-    for p in (3, 5, 7):
-        report = brauer.prop1_scenario(p)
-        r.expect(
-            (report["index_of_A"], report["index_of_A_prime"]),
-            (p**2, p**p),
-            f"prop1 scenario p={p}",
-        )
-    for p in (3, 5, 7):
-        try:
-            rows = brauer.prop1_case_table(p)
-        except ConsistencyError as exc:
-            r.checks += 1
-            r.failures.append(f"prop1 case table p={p}: {exc}")
-        else:
-            r.expect(len(rows), p * p, f"prop1 table length p={p}")
-    for p in (3, 5, 7):
-        for n in range(2, p):
-            for d in range(1, n):
-                report = brauer.prop2_scenario(p, d, n)
-                r.expect(
-                    (report["index_of_A"], report["index_of_A_prime"]),
-                    (p**d, p**n),
-                    f"prop2 scenario p={p},d={d},n={n}",
-                )
+    """Index reduction against its min form, then the scenarios and case tables.
 
+    The min-form sweep runs first, so a wrong index_reduction shows up as
+    labelled failures before the scenarios' ConsistencyErrors.
+    """
+    r = SuiteResult("brauer-model")
     rng = random.Random(77)
     for p in (3, 5):
         for _ in range(10):
             n = rng.randrange(1, 5)
-            v = brauer.BrauerVector(p, tuple(rng.randrange(p) for _ in range(n)))
-            w = brauer.BrauerVector(p, tuple(rng.randrange(p) for _ in range(n)))
-            for i in range(-3, 2 * p * p, 5):
-                r.expect(
-                    brauer.model_index(brauer.combine(v, w, i)),
-                    brauer.model_index(brauer.combine(v, w, i % p)),
-                    f"periodicity p={p}",
-                )
-            for d in (1, 2):
-                reduced = brauer.index_reduction(v, w, d)
-                r.expect(
-                    brauer.model_index(v) % reduced,
-                    0,
-                    f"reduced index divides p={p},d={d}",
-                )
-                perm = list(range(n))
-                rng.shuffle(perm)
-                vs = brauer.BrauerVector(p, tuple(v.coords[j] for j in perm))
-                ws = brauer.BrauerVector(p, tuple(w.coords[j] for j in perm))
-                r.expect(
-                    brauer.index_reduction(vs, ws, d),
-                    reduced,
-                    f"permutation invariance p={p},d={d}",
-                )
-            zero = brauer.BrauerVector(p, (0,) * n)
-            r.expect(
-                brauer.index_reduction(zero, w, 2), 1, f"zero target p={p}"
-            )
+            target, fiber = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+            a = brauer.BrauerVector(p, fiber)
+            for b in (target, (0,) * n):
+                for d in (1, 2):
+                    got = brauer.index_reduction(brauer.BrauerVector(p, b), a, d)
+                    label = f"index reduction vs min form p={p},d={d},B={b},A={fiber}"
+                    r.expect(got, index_reduction_by_min_form(p, b, fiber, d), label)
+
+    pair = operator.itemgetter("index_of_A", "index_of_A_prime")
+    for p in (3, 5, 7):
+        r.expect(_read(pair, brauer.prop1_scenario, p), (p**2, p**p), f"prop1 scenario p={p}")
+        r.expect(_read(len, brauer.prop1_case_table, p), p * p, f"prop1 table length p={p}")
+        for n in range(2, p):
+            for d in range(1, n):
+                got = _read(pair, brauer.prop2_scenario, p, d, n)
+                r.expect(got, (p**d, p**n), f"prop2 scenario p={p},d={d},n={n}")
     return r
 
 

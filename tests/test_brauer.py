@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from csatools import brauer, valuation
+from csatools import brauer, valuation, verify
 from csatools.brauer import (
     BrauerVector,
     combine,
@@ -189,3 +189,24 @@ class TestScenarios:
             prop2_scenario(5, 2, 5)  # n < p fails
         with pytest.raises(ValueError):
             prop2_scenario(5, 0, 3)  # d positive fails
+
+
+class TestMinFormOracle:
+    def test_brauer_model_names_a_route_that_tries_only_one_shift(self, monkeypatch):
+        def only_c_is_1(target, fiber, d):
+            shifted = model_index(combine(target, fiber, 1))
+            return min(model_index(target), target.p**d * shifted)
+
+        monkeypatch.setattr(brauer, "index_reduction", only_c_is_1)
+        [result] = verify.run_suites(["brauer-model"])
+        assert any(f.startswith("index reduction vs min form") for f in result.failures)
+
+    def test_answers_without_the_library_model(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle called the library model")
+
+        monkeypatch.setattr(brauer, "combine", refuse)
+        monkeypatch.setattr(brauer, "model_index", refuse)
+        assert verify.index_reduction_by_min_form(3, (1, 1, 2), (1, 1, 1), 2) == 27
+        assert verify.index_reduction_by_min_form(5, (1, 2, 3), (1, 1, 1), 2) == 125
+        assert verify.index_reduction_by_min_form(3, (1, 1, 1), (1, 1, 1), 2) == 9

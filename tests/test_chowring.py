@@ -7,7 +7,6 @@ import pytest
 from csatools.chowring import (
     ChowClass,
     RingShape,
-    hyperplane,
     hyperplane_sum,
     multiply,
     point_degree,
@@ -15,7 +14,6 @@ from csatools.chowring import (
     segre_degree_closed_form,
     segre_degree_expansion,
     unit,
-    zero,
 )
 from csatools.verify import segre_degree_walk
 
@@ -57,7 +55,7 @@ class TestNormalization:
         cls = ChowClass((2,), {(1,): 1, ("1",): -1})
         assert cls.terms == {}
         assert cls.is_zero()
-        assert cls == zero((2,))
+        assert cls == ChowClass((2,), {})
 
     def test_merges_duplicate_keys_via_multiply(self):
         shape = RingShape((3, 3))
@@ -88,14 +86,9 @@ class TestOperations:
             (0, 0, 1): 1,
         }
 
-    def test_hyperplane_rejects_factor_out_of_range(self):
-        for i in (-1, 2):
-            with pytest.raises(ValueError, match="out of range"):
-                hyperplane(RingShape((2, 3)), i)
-
     def test_multiply_examples(self):
         shape = RingShape((2, 2))
-        l1 = hyperplane(shape, 0)
+        l1 = ChowClass(shape, {(1, 0): 1})
         assert multiply(l1, l1).is_zero()  # l1^2 = 0 when d1 = 2
         h = hyperplane_sum(shape)
         assert multiply(h, h).terms == {(1, 1): 2}
@@ -130,7 +123,7 @@ class TestOperations:
     def test_point_degree_examples(self):
         shape = RingShape((2, 2))
         assert point_degree(ChowClass(shape, {(1, 1): 2})) == 2
-        assert point_degree(hyperplane(shape, 0)) == 0
+        assert point_degree(ChowClass(shape, {(1, 0): 1})) == 0
         big = RingShape((3, 3))
         assert point_degree(ChowClass(big, {(2, 2): 6})) == 6
 
@@ -138,7 +131,7 @@ class TestOperations:
 class TestSerialization:
     def test_golden_forms(self):
         shape = RingShape((2, 2))
-        assert zero(shape).to_text() == "0"
+        assert ChowClass(shape, {}).to_text() == "0"
         assert unit(shape).to_text() == "1·l1^0*l2^0"
         assert hyperplane_sum(shape).to_text() == "1·l1^0*l2^1 + 1·l1^1*l2^0"
         sq = power(hyperplane_sum(shape), 2)

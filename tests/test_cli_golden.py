@@ -7,9 +7,11 @@ were captured from the CLI as it stood before its command table was
 introduced, so any rendering drift shows here as a failure.  The two
 `vp-factorial --method oracle ... --k 2` cases were re-captured when an
 unused `--k` became a usage error, `prop1-table --p 3 --vp` when its
-table gained the `vp(term)` column that `--vp` had silently dropped, and
+table gained the `vp(term)` column that `--vp` had silently dropped,
 `verify --suite bogus` when unknown suite names moved from argparse
-choices to the handler's usage error.
+choices to the handler's usage error, and the two `verify --all` cases
+when `brauer-model` swapped its invariant sweeps for the min-form
+oracle (288 checks to 108).
 """
 
 import json
