@@ -61,20 +61,24 @@ class BaselinePoint(Frozen):
 
 
 class BoundReport(NamedTuple):
-    """A splitting-degree bound with every factor recorded.
+    """The general bound with every factor recorded.
 
-    Always: total = multinomial_factor * period_power, where
-    period_power = period^remainder.  In the prime-power case p_part and
-    cofactor are filled and total = p_part * cofactor with
-    gcd(cofactor, p) = 1.
+    total = multinomial_factor * period_power, where
+    period_power = period^remainder.
     """
 
     multinomial_factor: int
     remainder: int
     period_power: int
     total: int
-    p_part: int | None = None
-    cofactor: int | None = None
+
+
+class PrimePowerBound(NamedTuple):
+    """The prime-power bound: total = p_part * cofactor with gcd(cofactor, p) = 1."""
+
+    p_part: int
+    cofactor: int
+    total: int
 
 
 def general_bound(shape: AlgebraShape) -> BoundReport:
@@ -127,7 +131,7 @@ def cofactor_m(p: int, k: int, n: int) -> int:
     return quotient
 
 
-def prime_power_bound(p: int, k: int, n: int) -> BoundReport:
+def prime_power_bound(p: int, k: int, n: int) -> PrimePowerBound:
     """Splitting degree p^{n(p^k - 1)} * m with m coprime to p.
 
     cofactor_m runs first and makes the one check of (p, k, n), so p is
@@ -137,15 +141,7 @@ def prime_power_bound(p: int, k: int, n: int) -> BoundReport:
     """
     m = cofactor_m(p, k, n)
     p_part = p ** (n * (p**k - 1))
-    total = p_part * m
-    return BoundReport(
-        multinomial_factor=total,
-        remainder=0,
-        period_power=1,
-        total=total,
-        p_part=p_part,
-        cofactor=m,
-    )
+    return PrimePowerBound(p_part, m, p_part * m)
 
 
 def baseline_bound(points: list[BaselinePoint]) -> int:

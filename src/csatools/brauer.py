@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConsistencyError
-from .valuation import Frozen, Prime, refuse_oversized
+from .valuation import Frozen, Prime, refuse_overlong, refuse_oversized
 
 
 class BrauerVector(Frozen):
@@ -87,10 +87,12 @@ def index_reduction(target: BrauerVector, fiber: BrauerVector, d: int) -> int:
     """Index of `target` over the function field of X_{p^d}(fiber).
 
     Evaluates the gcd formula over i = 1..p^d; the last index covers the
-    i = 0 residue class with multiplier 1.
+    i = 0 residue class with multiplier 1.  Its p^d terms of n coordinates
+    are refused past the step limit before any term is built.
     """
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
+    refuse_overlong("the index-reduction gcd", target.p, d, len(target))
     out = 0
     for _, factor, index in _terms(target, fiber, d):
         out = math.gcd(out, factor * index)
@@ -131,8 +133,7 @@ def prop1_scenario(p: int) -> dict:
     divisible by p^p.  Raises ConsistencyError if the computed pair is
     not (p^2, p^p), and refuses p^p past the size limit up front.
     """
-    base, twisted = _prop1_instance(p)
-    return {"p": base.p, **_scenario(base, twisted, 2)}
+    return _scenario(*_prop1_instance(p), 2)
 
 
 def prop1_case_table(p: int) -> list[dict]:
@@ -197,5 +198,4 @@ def prop2_scenario(p: int, d: int, n: int) -> dict:
     p = Prime(p)
     if not 0 < d < n < p:
         raise ValueError(f"need 0 < d < n < p, got d={d}, n={n}, p={p}")
-    base, twisted = BrauerVector(p, (1,) * n), BrauerVector(p, tuple(range(1, n + 1)))
-    return {"p": p, "d": d, "n": n, **_scenario(base, twisted, d)}
+    return _scenario(BrauerVector(p, (1,) * n), BrauerVector(p, tuple(range(1, n + 1))), d)

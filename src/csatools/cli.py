@@ -202,21 +202,6 @@ def _bound_baseline(a) -> Result:
     )
 
 
-def _corestriction_cert(a) -> Result:
-    cert = cs.karpenko.corestriction_certificate(a.p, a.r)
-    keys = ("codim", "observed_valuation", "lower_bound", "violated")
-    return Result({key: getattr(cert, key) for key in keys}, [
-        "codim = p^(r*p) - p^r - p - 1",
-        "observed valuation = r*p - r",
-        "violated = observed valuation < cycle-degree lower bound",
-    ])
-
-
-def _scenario(report: dict, provenance: list) -> Result:
-    keys = ("exponents_of_A_prime", "index_of_A", "index_of_A_prime")
-    return Result({key: report[key] for key in keys}, provenance)
-
-
 def _prop1_table(a) -> Result:
     rows = cs.brauer.prop1_case_table(a.p)
     outputs = {"rows": len(rows)}
@@ -335,8 +320,13 @@ COMMANDS = {
         ),
     ),
     "corestriction-cert": Command(
-        "numeric witness that a corestriction presentation fails", {"p": INT, "r": INT},
-        _corestriction_cert,
+        "numeric witness that a corestriction presentation fails",
+        {"p": INT, "r": INT},
+        lambda a: Result(cs.karpenko.corestriction_certificate(a.p, a.r)._asdict(), [
+            "codim = p^(r*p) - p^r - p - 1",
+            "observed valuation = r*p - r",
+            "violated = observed valuation < cycle-degree lower bound",
+        ]),
     ),
     "proof-inequalities": Command(
         "symbolic (loop-free) version of the certificate",
@@ -362,7 +352,7 @@ COMMANDS = {
     "prop1": Command(
         "index-p^2 sharpness scenario",
         {"p": INT},
-        lambda a: _scenario(cs.brauer.prop1_scenario(a.p), [
+        lambda a: Result(cs.brauer.prop1_scenario(a.p), [
             "A has all exponents 1; A' has exponents 1,1,2,...,p-1",
             "both indices over the function field of X_{p^2}(A); expected (p^2, p^p)",
         ]),
@@ -371,7 +361,7 @@ COMMANDS = {
     "prop2": Command(
         "index-p^d sharpness scenario (d < n < p)",
         {"p": INT, "d": INT, "n": INT},
-        lambda a: _scenario(cs.brauer.prop2_scenario(a.p, a.d, a.n), [
+        lambda a: Result(cs.brauer.prop2_scenario(a.p, a.d, a.n), [
             "A has all exponents 1; A' has exponents 1,2,...,n",
             "both indices over the function field of X_{p^d}(A); expected (p^d, p^n)",
         ]),

@@ -58,14 +58,12 @@ def karpenko_lower_bound(p: int, n: int, codim: int) -> int:
 class CorestrictionCertificate(NamedTuple):
     """Numeric witness that a corestriction presentation is impossible.
 
-    p odd; the hypothetical inner algebra has degree p^r over a degree-p
-    extension, so the ambient generic algebra has degree p^{rp}.
+    For an odd p, the hypothetical inner algebra has degree p^r over a
+    degree-p extension, so the ambient generic algebra has degree p^{rp}.
     violated means the observed valuation undershoots the lower bound,
     refuting the presentation.
     """
 
-    p: int
-    r: int
     codim: int
     observed_valuation: int
     lower_bound: int
@@ -109,8 +107,7 @@ def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
     n = r * p
     codim = p**n - p**r - p - 1
     lower = karpenko_lower_bound(p, n, codim)
-    return CorestrictionCertificate(p=p, r=r, codim=codim, observed_valuation=n - r,
-                                    lower_bound=lower, violated=n - r < lower)
+    return CorestrictionCertificate(codim, n - r, lower, n - r < lower)
 
 
 class AuxiliaryInequalities(NamedTuple):

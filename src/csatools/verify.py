@@ -13,8 +13,9 @@ re-implementation of the cycle-bound minimum (the largest term of each
 valuation class instead of the library's walk over the p-adic digits of
 the codimension); segre_degree_walk, a ring expansion of the Segre
 degree over packed monomials that uses neither the multinomial nor
-chowring's classes; and index_reduction_by_min_form, the index-reduction
-gcd as a minimum over p - 1 shifts, on raw residues.
+chowring's ChowClass or multiply (chowring.RingShape only validates its
+factor bounds); and index_reduction_by_min_form, the index-reduction gcd
+as a minimum over p - 1 shifts, on raw residues.
 """
 
 from __future__ import annotations
@@ -23,16 +24,24 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 
 from . import bounds, brauer, chowring, karpenko, valuation
 from .errors import ConsistencyError
 
-@dataclass
+
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's name, its number of checks, and a message per failed check.
+
+    A plain class, not a dataclass: importing dataclasses (and the inspect
+    it loads) would cost each `csatools verify` process about 11 ms.
+    """
+
+    __slots__ = ("name", "checks", "failures")
+
+    def __init__(self, name: str, checks: int = 0, failures: list[str] | None = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

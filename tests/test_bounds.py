@@ -6,6 +6,8 @@ from csatools import bounds
 from csatools.bounds import (
     AlgebraShape,
     BaselinePoint,
+    BoundReport,
+    PrimePowerBound,
     baseline_bound,
     bound_improvement,
     cofactor_m,
@@ -123,6 +125,12 @@ class TestPrimePowerBound:
     def test_split_cubic_case(self):
         report = prime_power_bound(3, 1, 1)
         assert (report.total, report.p_part, report.cofactor) == (90, 9, 10)
+
+    def test_record_holds_only_what_the_route_computed(self):
+        assert prime_power_bound(3, 1, 1) == PrimePowerBound(p_part=9, cofactor=10, total=90)
+        assert type(prime_power_bound(3, 1, 1)) is PrimePowerBound
+        assert BoundReport._fields == ("multinomial_factor", "remainder", "period_power", "total")
+        assert BoundReport._field_defaults == {}
 
     def test_generic_p5(self):
         report = prime_power_bound(5, 1, 1)

@@ -133,6 +133,12 @@ class TestScenarios:
         assert (report["index_of_A"], report["index_of_A_prime"]) == expected
         assert report["index_of_A_prime"] == p**p
 
+    def test_scenarios_hold_no_input(self):
+        assert prop1_scenario(3) == {
+            "exponents_of_A_prime": (1, 1, 2), "index_of_A": 9, "index_of_A_prime": 27}
+        assert prop2_scenario(5, 2, 3) == {
+            "exponents_of_A_prime": (1, 2, 3), "index_of_A": 25, "index_of_A_prime": 125}
+
     def test_prop1_rejects_p2(self):
         for route in (prop1_scenario, prop1_case_table):
             with pytest.raises(ValueError, match="p >= 3"):

@@ -224,6 +224,15 @@ class TestExitCodes:
     def test_prop1_with_a_large_prime_is_rejected_quickly(self, capsys, argv):
         self.assert_quick_rejection(capsys, argv)
 
+    @pytest.mark.parametrize("argv", [
+        "index-reduction --p 3 --target 1 --fiber 1 --d 25",
+        "index-reduction --p 1000000007 --target 1 --fiber 1 --d 1",
+        "prop1 --p 10007",
+        "prop2 --p 101 --d 3 --n 50",
+    ])
+    def test_long_index_reduction_is_rejected_quickly(self, capsys, argv):
+        self.assert_quick_rejection(capsys, argv)
+
     def test_internal_inconsistency_is_exit_3(self, capsys, monkeypatch):
         def broken(p, k, n):
             raise ConsistencyError("forced for the test")
@@ -506,13 +515,13 @@ class TestLoading:
 
     def test_verify_loads_every_module(self):
         modules = ("bounds", "brauer", "chowring", "karpenko", "valuation", "verify")
-        want = sorted({*CORE, "dataclasses", *(f"csatools.{name}" for name in modules)})
+        want = sorted({*CORE, *(f"csatools.{name}" for name in modules)})
         assert self.loaded("verify --suite known-values") == want
 
 
 class TestPackageNames:
     def test_each_name_is_the_object_in_its_home_module(self):
-        assert len(csatools.__all__) == 40
+        assert len(csatools.__all__) == 41
         for name in csatools.__all__:
             value = getattr(csatools, name)
             assert value.__module__.startswith("csatools.")

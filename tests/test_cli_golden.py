@@ -1,8 +1,9 @@
 """Golden CLI runs: full stdout, stderr and exit code, byte for byte.
 
 Covers every README example in both output formats, `--vp` on every
-subcommand that takes a prime, the per-command input quirks, and one
-invocation per error class.  The expected bytes in `cli_golden.json`
+subcommand that takes a prime, the per-command input quirks, one
+invocation per error class, and the help text at each level of the
+command tree (80 columns; identical on Python 3.10 to 3.12).  The expected bytes in `cli_golden.json`
 were captured from the CLI as it stood before its command table was
 introduced, so any rendering drift shows here as a failure.  The two
 `vp-factorial --method oracle ... --k 2` cases were re-captured when an
@@ -11,7 +12,9 @@ table gained the `vp(term)` column that `--vp` had silently dropped,
 `verify --suite bogus` when unknown suite names moved from argparse
 choices to the handler's usage error, and the two `verify --all` cases
 when `brauer-model` swapped its invariant sweeps for the min-form
-oracle (288 checks to 108).
+oracle (288 checks to 108).  The help cases were captured later, from
+the CLI as it stood before its result records were trimmed to what each
+route computes.
 """
 
 import json
@@ -90,11 +93,19 @@ ERROR_CASES = [
     "",
 ]
 
+HELP_CASES = [
+    "--help",
+    "bound --help",
+    "bound general --help",
+    "vp --help",
+    "verify --help",
+]
+
 CASES = [
     case + fmt
     for case in README_EXAMPLES + INPUT_SHAPES + VP_CASES
     for fmt in ("", f" --format {cli.RECORD_FORMAT}")
-] + ERROR_CASES
+] + ERROR_CASES + HELP_CASES
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 

@@ -85,6 +85,10 @@ class TestCertificate:
         assert cert.lower_bound == 3
         assert cert.violated
 
+    def test_record_holds_no_input(self):
+        assert corestriction_certificate(3, 1)._asdict() == {
+            "codim": 20, "observed_valuation": 2, "lower_bound": 3, "violated": True}
+
     def test_p5_r1(self):
         cert = corestriction_certificate(5, 1)
         assert cert.codim == 3114

@@ -1,11 +1,13 @@
-"""One size limit for every route that builds a big number.
+"""One size limit for every route that builds a big number, and one step limit.
 
 Each route estimates the bits of what it is about to build and passes the
 estimate to valuation.refuse_oversized.  Each guarded route is run one
 step past the limit, where it must refuse before building anything, and,
 where that is cheap, exactly at the limit, where it must answer with a
 number of at most SIZE_LIMIT_BITS bits.  The certificate routes have
-their own boundary tests in test_karpenko.py.
+their own boundary tests in test_karpenko.py.  index_reduction's p^d
+terms of n coordinates are checked the same way against
+valuation.refuse_overlong's STEP_LIMIT.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import pytest
 
 from csatools import bounds, brauer, valuation
 from csatools.valuation import SIZE_LIMIT_BITS as LIMIT
+from csatools.valuation import STEP_LIMIT
 
 MULTINOMIAL_TOP = 2**20  # bit_length 21
 MULTINOMIAL_PART = LIMIT // MULTINOMIAL_TOP.bit_length()
@@ -110,3 +113,47 @@ def test_case_table_answers_for_the_last_prime_before_its_limit():
     rows = brauer.prop1_case_table(p)
     assert len(rows) == p * p
     assert sum(row["term"].bit_length() for row in rows) <= LIMIT
+
+
+def _reduce(p, n, d):
+    """index_reduction of (1, ..., 1) over X_{p^d} of itself: p^d terms of n coordinates."""
+    v = brauer.BrauerVector(p, (1,) * n)
+    return brauer.index_reduction(v, v, d)
+
+
+# route -> (call exactly at the step limit and its answer, or None; call past it)
+STEP_BOUNDARY = {
+    "index_reduction": (  # 2^2 terms of STEP_LIMIT / 4 coordinates, then one coordinate more
+        (lambda: _reduce(2, STEP_LIMIT // 4, 2), 2**2),
+        lambda: _reduce(2, STEP_LIMIT // 4 + 1, 2),
+    ),
+    "index_reduction, d far past the limit": (None, lambda: _reduce(3, 1, 10**18)),
+    "prop1_scenario": (  # p^2 terms of p coordinates: 61^3 answers, 67^3 is refused
+        (lambda: brauer.prop1_scenario(61)["index_of_A"], 61**2),
+        lambda: brauer.prop1_scenario(67),
+    ),
+}
+
+
+@pytest.mark.parametrize("route", list(STEP_BOUNDARY))
+def test_answers_at_the_step_limit_and_refuses_past_it(route):
+    at, past = STEP_BOUNDARY[route]
+    if at is not None:
+        call, want = at
+        assert call() == want
+    with pytest.raises(ValueError, match="the index-reduction gcd would take .* loop steps, "
+                                         "beyond the step limit"):
+        past()
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 61, 2**18 - 5, 2**18 + 3])
+def test_the_log_space_screen_refuses_exactly_the_steps_past_the_limit(base):
+    for exponent in range(0, 40):
+        for factor in (1, 2, 3, 5, 60, 61, 2**16, 2**18, 2**18 + 1):
+            over = base**exponent * factor > STEP_LIMIT
+            try:
+                valuation.refuse_overlong("the loop", base, exponent, factor)
+            except ValueError:
+                assert over
+            else:
+                assert not over
