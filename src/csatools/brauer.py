@@ -146,9 +146,10 @@ def prop1_case_table(p: int) -> list[dict]:
     * any other i coprime to p:                   p^2 * p^(p-1)
     * p | i:                                      p * p^p, or p^p at i = p^2
 
-    A bucket mismatch raises ConsistencyError.  The table is the output,
-    so its size, p^2 rows of about (p + 2) * bit_length(p) bits, is
-    refused past the size limit before any row is built.
+    Each predicted value is built from i and p alone; a term that misses
+    it raises ConsistencyError.  The table is the output, so its size,
+    p^2 rows of about (p + 2) * bit_length(p) bits, is refused past the
+    size limit before any row is built.
     """
     base, twisted = _prop1_instance(p)
     p = base.p
@@ -165,11 +166,7 @@ def prop1_case_table(p: int) -> list[dict]:
             expected = p2 * p ** (p - 1)
         else:
             case = "p divides i"
-            expected = factor * p**p
-            if factor not in (1, p):
-                raise ConsistencyError(
-                    f"multiplier {factor} at i={i} is neither 1 nor p"
-                )
+            expected = (p if i < p2 else 1) * p**p
         if term != expected:
             raise ConsistencyError(
                 f"term {term} at i={i} does not match its case value {expected}"

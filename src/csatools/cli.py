@@ -121,32 +121,26 @@ INT = {"type": int, "required": True}
 CSV = {"type": _csv_ints, "required": True}
 
 
-_FACTORIAL_NOTES = {
-    "oracle": "sum of floor(n/p^i) over i >= 1",
-    "prime-power": "vp((p^n)!) = (p^n - 1)/(p - 1)",
-    "k-prime-power": "vp((k*p^n)!) = k * vp((p^n)!) for 1 <= k < p",
-    "misc": "vp((p^k(p^n - 1))!) = vp((p^(k+n))!) - vp((p^k)!) - n",
+# --method -> (valuation function, flags after --p in call order, provenance)
+_FACTORIAL = {
+    "oracle": ("vp_factorial_oracle", ("n",), "sum of floor(n/p^i) over i >= 1"),
+    "prime-power": ("vp_factorial_prime_power", ("n",), "vp((p^n)!) = (p^n - 1)/(p - 1)"),
+    "k-prime-power": ("vp_factorial_k_times_prime_power", ("k", "n"),
+                      "vp((k*p^n)!) = k * vp((p^n)!) for 1 <= k < p"),
+    "misc": ("vp_factorial_misc", ("k", "n"),
+             "vp((p^k(p^n - 1))!) = vp((p^(k+n))!) - vp((p^k)!) - n"),
 }
 
 
 def _vp_factorial(a) -> Result:
-    inputs = {"p": a.p, "method": a.method}
-    if a.method in ("oracle", "prime-power") and a.k is not None:
+    function, flags, note = _FACTORIAL[a.method]
+    if a.k is not None and "k" not in flags:
         raise UsageError(f"--k is not used by --method {a.method}")
-    if a.method == "oracle":
-        value = cs.valuation.vp_factorial_oracle(a.p, a.n)
-    elif a.method == "prime-power":
-        value = cs.valuation.vp_factorial_prime_power(a.p, a.n)
-    else:
-        if a.k is None:
-            raise UsageError(f"--k is required for --method {a.method}")
-        inputs["k"] = a.k
-        if a.method == "misc":
-            value = cs.valuation.vp_factorial_misc(a.p, a.k, a.n)
-        else:
-            value = cs.valuation.vp_factorial_k_times_prime_power(a.p, a.k, a.n)
-    inputs["n"] = a.n
-    return Result({"vp": value}, [_FACTORIAL_NOTES[a.method]], inputs=inputs)
+    if a.k is None and "k" in flags:
+        raise UsageError(f"--k is required for --method {a.method}")
+    args = {flag: getattr(a, flag) for flag in flags}
+    value = getattr(cs.valuation, function)(a.p, *args.values())
+    return Result({"vp": value}, [note], inputs={"p": a.p, "method": a.method, **args})
 
 
 def _segre_degree(a) -> Result:
@@ -266,7 +260,7 @@ COMMANDS = {
     ),
     "vp-factorial": Command(
         "valuation of a factorial: Legendre oracle or a closed form",
-        {"p": INT, "method": {"choices": tuple(_FACTORIAL_NOTES), "default": "oracle"},
+        {"p": INT, "method": {"choices": tuple(_FACTORIAL), "default": "oracle"},
          "n": INT, "k": {"type": int}},
         _vp_factorial,
     ),

@@ -14,6 +14,7 @@ from csatools.brauer import (
     prop1_scenario,
     prop2_scenario,
 )
+from csatools.errors import ConsistencyError
 
 
 class TestBrauerVector:
@@ -159,6 +160,17 @@ class TestScenarios:
         for row in rows:
             g = math.gcd(g, row["term"])
         assert g == p**p  # the gcd of the table is the reduced index
+
+    def test_prop1_table_predicts_the_multiplier_from_i(self, monkeypatch):
+        real_terms = brauer._terms
+
+        def multiplier_1_at_p(target, fiber, d):
+            for i, factor, index in real_terms(target, fiber, d):
+                yield i, 1 if i == target.p else factor, index
+
+        monkeypatch.setattr(brauer, "_terms", multiplier_1_at_p)
+        with pytest.raises(ConsistencyError, match="at i=5 "):
+            prop1_case_table(5)
 
     @pytest.mark.parametrize(
         "p,d,n,expected",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -240,6 +241,19 @@ class TestExitCodes:
         monkeypatch.setattr(bounds, "prime_power_bound", broken)
         assert cli.run(["bound", "prime-power", "--p", "3", "--k", "1", "--n", "1"]) == 3
         assert "internal consistency failure" in capsys.readouterr().err
+
+    def test_inexact_cofactor_division_is_exit_3(self, capsys, monkeypatch):
+        real_factorial = math.factorial
+        monkeypatch.setattr(math, "factorial", lambda n: real_factorial(n) + 1)
+        assert cli.run(["cofactor-m", "--p", "3", "--k", "1", "--n", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "internal consistency failure: cofactor division not exact for p=3, k=1, n=1\n")
+
+    def test_segre_routes_that_disagree_are_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(chowring, "segre_degree_closed_form", lambda shape: 0)
+        assert cli.run(["segre-degree", "--shape", "3,3,3"]) == 3
+        assert capsys.readouterr().err == (
+            "internal consistency failure: expansion 90 != closed form 0 on shape (3, 3, 3)\n")
 
     def test_failing_verify_suite_is_exit_3(self, capsys, monkeypatch):
         failing = verify.SuiteResult("known-values", checks=1, failures=["forced"])
@@ -534,6 +548,18 @@ class TestPackageNames:
         monkeypatch.setattr(valuation, "vp", lambda p, n: -1)
         assert csatools.vp(3, 18) == -1
         assert "vp" not in vars(csatools)
+
+    def test_dir_lists_every_name_and_module_before_any_is_loaded(self):
+        probe = "import csatools, sys; print(*dir(csatools)); print(*sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=_child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        listed, loaded = (line.split() for line in proc.stdout.splitlines())
+        modules = {"bounds", "brauer", "chowring", "cli", "errors", "karpenko", "valuation",
+                   "verify"}
+        assert {*csatools.__all__, *modules} <= set(listed)
+        assert listed == sorted(listed)
+        assert not any(name.startswith("csatools.") for name in loaded)
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
