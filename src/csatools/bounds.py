@@ -168,9 +168,9 @@ class BoundImprovement(NamedTuple):
 def bound_improvement(p: int, k: int, n: int) -> BoundImprovement:
     """(p^{n p^k}, p^{n(p^k - 1)}): baseline vs index-aware p-part.
 
-    The improved p-part times p^n is the baseline.
+    The baseline is baseline_bound at the one point (p^n, p^k), sized by
+    that route's estimate; the improved p-part times p^n is the baseline.
     """
     p = _prime_power_instance(p, k, n)
     pk = p**k
-    refuse_oversized("p^(n*p^k)", n * pk * p.bit_length())
-    return BoundImprovement(p ** (n * pk), p ** (n * (pk - 1)))
+    return BoundImprovement(baseline_bound([BaselinePoint(p**n, pk)]), p ** (n * (pk - 1)))

@@ -369,9 +369,31 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Quotes each choice in an invalid-choice error, as Python 3.10 to 3.13.0 do (3.13.13 does not)."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
+
+def _lister(level: str):
+    """Help formatter for a parser that lists the commands under `level` ("" is the top).
+
+    Python 3.13 measures the listed names at their own indent, two columns
+    deeper than 3.10-3.12 do.  Capping the help column at 4 + the longest
+    name listed gives every version the same layout.
+    """
+    names = [name[len(level):].split()[0] for name in COMMANDS if name.startswith(level)]
+    position = min(24, 4 + max(map(len, names)))
+    return lambda prog: argparse.HelpFormatter(prog, max_help_position=position)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csatools",
+        formatter_class=_lister(""),
         description=(
             "Exact-arithmetic invariants of central simple and Azumaya "
             "algebras: valuations, Segre degrees, splitting bounds, "
@@ -383,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group not in levels:
-            group_parser = levels[""].add_parser(group, help=GROUP_HELP[group])
+            group_parser = levels[""].add_parser(group, help=GROUP_HELP[group],
+                                                 formatter_class=_lister(f"{group} "))
             levels[group] = group_parser.add_subparsers(required=True, metavar="kind")
         cmd = levels[group].add_parser(leaf, help=command.help)
         cmd.set_defaults(command=name)
@@ -405,6 +428,8 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     command = COMMANDS[args.command]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # flags were parsed under the cap; nothing after is
     try:
         result = command.handler(args)
     except UsageError as exc:
@@ -416,28 +441,25 @@ def run(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
+    else:
+        inputs = result.inputs
+        if inputs is None:
+            inputs = {flag: getattr(args, flag) for flag in command.flags}
+        outputs = result.outputs
+        if getattr(args, "vp", False):
+            outputs = _with_vp(outputs, args.p)
 
-    inputs = result.inputs
-    if inputs is None:
-        inputs = {flag: getattr(args, flag) for flag in command.flags}
-    outputs = result.outputs
-    if getattr(args, "vp", False):
-        outputs = _with_vp(outputs, args.p)
-
-    for note in result.notes:
-        print(note, file=sys.stderr)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # outputs print in full; flags were parsed under the cap
-    try:
+        for note in result.notes:
+            print(note, file=sys.stderr)
         if args.format == RECORD_FORMAT:
             print(_record(args.command, inputs, outputs, result.provenance))
         elif result.text is not None:
             print(result.text)
         else:
             print(_text(inputs, outputs, result.provenance))
+        return result.exit_code
     finally:
         sys.set_int_max_str_digits(saved)
-    return result.exit_code
 
 
 def main() -> None:

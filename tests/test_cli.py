@@ -185,6 +185,12 @@ class TestExitCodes:
         assert cli.run(["vp", "--p", "3", "--n", "0"]) == 1
         capsys.readouterr()
 
+    def test_invalid_choice_quotes_each_choice(self, capsys):
+        assert cli.run(["vp-factorial", "--p", "3", "--method", "bogus", "--n", "1"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --method: invalid choice: 'bogus' "
+            "(choose from 'oracle', 'prime-power', 'k-prime-power', 'misc')\n")
+
     def test_malformed_csv_is_usage_error(self, capsys):
         assert cli.run(["segre-degree", "--shape", "2,x"]) == 2
         capsys.readouterr()
@@ -254,6 +260,12 @@ class TestExitCodes:
         assert cli.run(["segre-degree", "--shape", "3,3,3"]) == 3
         assert capsys.readouterr().err == (
             "internal consistency failure: expansion 90 != closed form 0 on shape (3, 3, 3)\n")
+
+    def test_inconsistency_naming_a_long_int_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(chowring, "segre_degree_closed_form", lambda shape: 10**5000)
+        assert cli.run(["segre-degree", "--shape", "3,3,3"]) == 3
+        assert capsys.readouterr().err == (
+            f"internal consistency failure: expansion 90 != closed form 1{'0' * 5000} on shape (3, 3, 3)\n")
 
     def test_failing_verify_suite_is_exit_3(self, capsys, monkeypatch):
         failing = verify.SuiteResult("known-values", checks=1, failures=["forced"])

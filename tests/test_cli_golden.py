@@ -3,7 +3,7 @@
 Covers every README example in both output formats, `--vp` on every
 subcommand that takes a prime, the per-command input quirks, one
 invocation per error class, and the help text at each level of the
-command tree (80 columns; identical on Python 3.10 to 3.12).  The expected bytes in `cli_golden.json`
+command tree (80 columns; identical on Python 3.10 to 3.13).  The expected bytes in `cli_golden.json`
 were captured from the CLI as it stood before its command table was
 introduced, so any rendering drift shows here as a failure.  The two
 `vp-factorial --method oracle ... --k 2` cases were re-captured when an

@@ -65,10 +65,10 @@ BOUNDARY = {
         lambda: bounds.prime_power_bound(5, 2, 6),
         "(p^k (p^n - 1))!",
     ),
-    "bound_improvement": (  # n * p^k * bit_length(p)
-        lambda: bounds.bound_improvement(3, 1, LIMIT // 6).baseline,
-        lambda: bounds.bound_improvement(3, 1, LIMIT // 6 + 1),
-        "p^(n*p^k)",
+    "bound_improvement": (  # baseline_bound's p^k * bit_length(p^n): 3 * 699,050, then 3 * 699,051
+        lambda: bounds.bound_improvement(3, 1, 441_051).baseline,
+        lambda: bounds.bound_improvement(3, 1, 441_052),
+        "the baseline product",
     ),
     "baseline_bound": (  # sum of residue degree * bit_length(component degree)
         lambda: bounds.baseline_bound([(3, LIMIT // 2)]),
