@@ -195,4 +195,5 @@ def prop2_scenario(p: int, d: int, n: int) -> dict:
     p = Prime(p)
     if not 0 < d < n < p:
         raise ValueError(f"need 0 < d < n < p, got d={d}, n={n}, p={p}")
+    refuse_overlong("the index-reduction gcd", p, d, n)  # before the n-coordinate vectors
     return _scenario(BrauerVector(p, (1,) * n), BrauerVector(p, tuple(range(1, n + 1))), d)

@@ -50,7 +50,7 @@ class Result(NamedTuple):
     outputs: dict
     provenance: list
     inputs: dict | None = None  # None: the parsed flags, in table order
-    text: str | None = None  # replaces the aligned key/value text
+    text: Callable[[dict], str] | None = None  # renders the outputs in place of _text
     exit_code: int = 0
     notes: tuple = ()  # diagnostics for stderr
 
@@ -81,12 +81,16 @@ def _record(command: str, inputs: dict, outputs: dict, provenance: list) -> str:
     return json.dumps(payload, separators=(", ", ": "))
 
 
+def _columns(lines: list) -> list:
+    """Join each line's cells two spaces apart, padding all but the last to its column's widest."""
+    widths = [max(map(len, column)) for column in list(zip(*lines))[:-1]]
+    return ["  ".join([*(f"{cell:<{w}}" for cell, w in zip(line, widths)), line[-1]])
+            for line in lines]
+
+
 def _text(inputs: dict, outputs: dict, provenance: list) -> str:
-    pairs = [(k, _fmt(v)) for k, v in [*inputs.items(), *outputs.items()]]
-    width = max(len(k) for k, _ in pairs)
-    lines = [f"{k:<{width}}  {v}" for k, v in pairs]
-    lines += [f"# {note}" for note in provenance]
-    return "\n".join(lines)
+    lines = _columns([(k, _fmt(v)) for k, v in [*inputs.items(), *outputs.items()]])
+    return "\n".join(lines + [f"# {note}" for note in provenance])
 
 
 def _with_vp(outputs: dict, p: int) -> dict:
@@ -145,8 +149,8 @@ def _vp_factorial(a) -> Result:
 
 def _segre_degree(a) -> Result:
     shape = cs.chowring.RingShape(a.shape)
+    closed = cs.chowring.segre_degree_closed_form(shape)  # refuses a degree past the size limit
     expansion = cs.chowring.segre_degree_expansion(shape)
-    closed = cs.chowring.segre_degree_closed_form(shape)
     if expansion != closed:
         raise ConsistencyError(
             f"expansion {expansion} != closed form {closed} on shape {shape.bounds}"
@@ -202,19 +206,16 @@ def _prop1_table(a) -> Result:
     for row in rows:
         outputs[f"term[{row['i']}]"] = row["term"]
         outputs[f"case[{row['i']}]"] = row["case"]
-        if a.vp:
-            row["vp(term)"] = cs.valuation.vp(a.p, row["term"])
-    header = tuple(k for k in ("i", "factor", "index", "term", "vp(term)", "case") if k in rows[0])
-    cells = [header] + [tuple(str(row[k]) for k in header) for row in rows]
-    widths = [max(len(line[col]) for line in cells) for col in range(len(header))]
-    text = "\n".join(
-        "  ".join(f"{line[col]:<{widths[col]}}" for col in range(len(header))).rstrip()
-        for line in cells
-    )
+
+    def table(outputs):  # under --vp, run() has added vp(term[i]) for each i
+        cells = [{**row, "vp(term)": outputs.get(f"vp(term[{row['i']}])")} for row in rows]
+        header = [k for k in ("i", "factor", "index", "term", "vp(term)", "case")
+                  if cells[0][k] is not None]
+        return "\n".join(_columns([header, *([_fmt(cell[k]) for k in header] for cell in cells)]))
     return Result(outputs, [
         "term(i) = (p^2/gcd(p^2, i)) * index(A' + i*A) for i = 1..p^2",
         "each term checked against its residue-case value",
-    ], text=text)
+    ], text=table)
 
 
 def _verify(a) -> Result:
@@ -232,19 +233,17 @@ def _verify(a) -> Result:
         status = "ok" if res.ok else f"FAIL ({len(res.failures)} failures)"
         outputs[res.name] = f"{status}, {res.checks} checks"
     outputs["overall"] = "ok" if all_ok else "FAIL"
-    width = max(len(res.name) for res in results)
-    lines = [
-        f"{res.name:<{width}}  {len(res.failures):>3} failed  {res.checks:>5} checks  "
-        f"{'ok' if res.ok else 'FAIL'}"
-        for res in results
-    ]
-    passed = sum(1 for res in results if res.ok)
-    lines.append(f"result: {'ok' if all_ok else 'FAIL'} ({passed}/{len(results)} suites)")
+
+    def summary(outputs):
+        lines = _columns([(res.name, f"{len(res.failures):>3} failed  {res.checks:>5} checks  "
+                                     f"{'ok' if res.ok else 'FAIL'}") for res in results])
+        passed = sum(1 for res in results if res.ok)
+        return "\n".join(lines + [f"result: {outputs['overall']} ({passed}/{len(results)} suites)"])
     return Result(
         outputs,
         ["deterministic regression, oracle and invariant suites"],
         inputs={"suites": ",".join(res.name for res in results)},
-        text="\n".join(lines),
+        text=summary,
         exit_code=0 if all_ok else 3,
         notes=tuple(f"{res.name}: {msg}" for res in results for msg in res.failures[:20]),
     )
@@ -454,7 +453,7 @@ def run(argv=None) -> int:
         if args.format == RECORD_FORMAT:
             print(_record(args.command, inputs, outputs, result.provenance))
         elif result.text is not None:
-            print(result.text)
+            print(result.text(outputs))
         else:
             print(_text(inputs, outputs, result.provenance))
         return result.exit_code

@@ -52,9 +52,14 @@ SIZE_LIMIT_BITS = 2**21
 
 
 def refuse_oversized(what: str, bits: int) -> None:
-    """Raise ValueError if `what`, estimated at `bits` bits, is past SIZE_LIMIT_BITS."""
+    """Raise ValueError if `what`, estimated at `bits` bits, is past SIZE_LIMIT_BITS.
+
+    An estimate of 2^64 bits or more is named by the power of two above it,
+    since str() of a huge int is quadratic before Python 3.12.
+    """
     if bits > SIZE_LIMIT_BITS:
-        raise ValueError(f"{what} would have up to {bits} bits, beyond the size limit "
+        shown = bits if bits < 2**64 else f"2^{bits.bit_length()}"
+        raise ValueError(f"{what} would have up to {shown} bits, beyond the size limit "
                          f"of {SIZE_LIMIT_BITS} bits")
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import csatools
-from csatools import bounds, chowring, cli, karpenko, verify
+from csatools import bounds, chowring, cli, karpenko, valuation, verify
 from csatools.errors import ConsistencyError
 
 
@@ -217,6 +217,9 @@ class TestExitCodes:
         "bound baseline --point 1000:1000000000",
         "bound improvement --p 3 --k 100 --n 1",
         "multinomial --top 1000000000 --parts 500000000,500000000",
+        # estimates of 2^64 bits or more, named by a power of two rather than in decimal
+        "cofactor-m --p 3 --k 1000000 --n 10007",
+        "bound improvement --p 3 --k 1000000 --n 7",
     ])
     def test_oversized_number_is_rejected_quickly(self, capsys, argv):
         self.assert_quick_rejection(capsys, argv)
@@ -236,9 +239,22 @@ class TestExitCodes:
         "index-reduction --p 1000000007 --target 1 --fiber 1 --d 1",
         "prop1 --p 10007",
         "prop2 --p 101 --d 3 --n 50",
+        "prop2 --p 1000000007 --d 1 --n 2000000",  # refused before its vectors are built
     ])
     def test_long_index_reduction_is_rejected_quickly(self, capsys, argv):
         self.assert_quick_rejection(capsys, argv)
+
+    def test_segre_degree_past_the_limit_is_refused_before_expanding(self):
+        # a process with a timeout, so that an expansion run first fails the test, not hangs it
+        proc = subprocess.run(
+            [sys.executable, "-m", "csatools", "segre-degree", "--shape",
+             "1000000007,2305843009213693951"],
+            capture_output=True, text=True, env=_child_env(), timeout=10,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: the multinomial would have up to ")
+        assert proc.stderr.count("\n") == 1 and "size limit" in proc.stderr
 
     def test_internal_inconsistency_is_exit_3(self, capsys, monkeypatch):
         def broken(p, k, n):
@@ -389,6 +405,19 @@ class TestVpFlag:
         pairs = run_pairs(capsys, "bound improvement --p 3 --k 0 --n 200000 --vp".split())
         assert time.perf_counter() - started < 5
         assert pairs["vp(baseline)"] == "200000"
+
+    @pytest.mark.parametrize("fmt", ["text", "json-like-stable-schema"])
+    def test_table_reads_each_valuation_from_the_outputs(self, capsys, monkeypatch, fmt):
+        calls = []
+        real_vp = valuation.vp
+
+        def counting_vp(p, n):
+            calls.append(n)
+            return real_vp(p, n)
+
+        monkeypatch.setattr(valuation, "vp", counting_vp)
+        run_ok(capsys, ["prop1-table", "--p", "3", "--vp", "--format", fmt])
+        assert len(calls) == 10  # the 9 terms and `rows`, once each
 
 
 class TestVerifyCommand:

@@ -107,6 +107,16 @@ def test_answers_at_the_limit_and_refuses_past_it(route):
         past()
 
 
+@pytest.mark.parametrize("bits, shown", [
+    (2**64 - 1, "18446744073709551615"),
+    (2**64, "2^65"),
+    (3**1000000, "2^1584963"),  # str() of this estimate takes seconds before Python 3.12
+], ids=["2^64 - 1", "2^64", "3^1000000"])
+def test_an_estimate_of_2_64_bits_or_more_is_named_by_the_power_of_two_above_it(bits, shown):
+    with pytest.raises(ValueError, match=f"^x would have up to {re.escape(shown)} bits, "):
+        valuation.refuse_oversized("x", bits)
+
+
 def test_case_table_answers_for_the_last_prime_before_its_limit():
     p = max(q for q in range(3, TABLE_PAST) if valuation.is_prime_64bit(q))
     assert (p, TABLE_PAST) == (61, 67)
