@@ -15,6 +15,8 @@ of the package's standing cross-checks.
 
 from __future__ import annotations
 
+from operator import add, ge
+
 from .valuation import Frozen, multinomial
 
 
@@ -66,14 +68,14 @@ class ChowClass(Frozen):
         bounds = shape.bounds
         clean: dict[tuple[int, ...], int] = {}
         for exponents, coeff in terms.items():
-            exponents = tuple(int(e) for e in exponents)
+            exponents = tuple(map(int, exponents))
             if len(exponents) != len(bounds):
                 raise ValueError(
                     f"exponent vector {exponents} does not match shape {bounds}"
                 )
-            if any(e < 0 for e in exponents):
+            if min(exponents) < 0:
                 raise ValueError(f"negative exponent in {exponents}")
-            if any(e >= d for e, d in zip(exponents, bounds)):
+            if any(map(ge, exponents, bounds)):
                 continue  # l_i^{d_i} = 0
             coeff = clean.get(exponents, 0) + int(coeff)
             if coeff:
@@ -134,7 +136,7 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     out: dict[tuple[int, ...], int] = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return ChowClass(a.shape, out)
 

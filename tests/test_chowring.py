@@ -69,6 +69,12 @@ class TestNormalization:
             ChowClass(shape, {(1,): 1})
         with pytest.raises(ValueError):
             ChowClass(shape, {(-1, 0): 1})
+        # a negative exponent is rejected, not truncated, even past a bound
+        with pytest.raises(ValueError, match="negative exponent"):
+            ChowClass(shape, {(-1, 2): 1})
+        # the arity is checked before the truncation could drop the term
+        with pytest.raises(ValueError, match="does not match shape"):
+            ChowClass(shape, {(5,): 1})
 
     def test_immutable(self):
         cls = unit(RingShape((2, 2)))
