@@ -24,36 +24,27 @@ import itertools
 import math
 import operator
 import random
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from . import bounds, brauer, chowring, karpenko, valuation
 from .errors import ConsistencyError
 
 
-class SuiteResult:
-    """One suite's name, its number of checks, and a message per failed check.
+class SuiteResult(NamedTuple):
+    """One suite's name, its number of checks, and a message per failed check."""
 
-    A plain class, not a dataclass: importing dataclasses (and the inspect
-    it loads) would cost each `csatools verify` process about 11 ms.
-    """
-
-    __slots__ = ("name", "checks", "failures")
-
-    def __init__(self, name: str, checks: int = 0, failures: list[str] | None = None):
-        self.name = name
-        self.checks = checks
-        self.failures = [] if failures is None else failures
+    name: str
+    checks: int
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def expect(self, got, want, label: str):
-        self.checks += 1
-        if got != want:
-            self.failures.append(f"{label}: got {got!r}, want {want!r}")
 
-    def expect_true(self, cond, label: str):
-        self.expect(bool(cond), True, label)
+# (got, want, label): one check a suite yields, passed when got == want
+Check = tuple[object, object, str]
 
 
 def karpenko_lower_bound_grouped(p: int, n: int, codim: int) -> int:
@@ -162,59 +153,55 @@ def _random_chow_class(rng: random.Random, shape: chowring.RingShape) -> chowrin
     return chowring.ChowClass(shape, terms)
 
 
-def suite_known_values() -> SuiteResult:
+def suite_known_values() -> Iterator[Check]:
     """Frozen regression values for every headline quantity."""
-    r = SuiteResult("known-values")
-
     b = bounds.prime_power_bound(3, 1, 1)
-    r.expect((b.total, b.p_part, b.cofactor), (90, 9, 10), "prime_power_bound(3,1,1)")
+    yield ((b.total, b.p_part, b.cofactor), (90, 9, 10), "prime_power_bound(3,1,1)")
     b = bounds.prime_power_bound(2, 1, 1)
-    r.expect((b.total, b.cofactor), (2, 1), "prime_power_bound(2,1,1)")
+    yield ((b.total, b.cofactor), (2, 1), "prime_power_bound(2,1,1)")
 
     for m in range(1, 7):
         shape = (2, 2 * m)
-        r.expect(chowring.segre_degree_expansion(shape), 2 * m, f"segre expansion {shape}")
-        r.expect(chowring.segre_degree_closed_form(shape), 2 * m, f"segre closed form {shape}")
-    r.expect(chowring.segre_degree_expansion((2, 2)), 2, "segre (2,2)")
-    r.expect(chowring.segre_degree_expansion((3, 3, 3)), 90, "segre (3,3,3)")
-    r.expect(chowring.segre_degree_closed_form((5,)), 1, "segre single factor")
+        yield (chowring.segre_degree_expansion(shape), 2 * m, f"segre expansion {shape}")
+        yield (chowring.segre_degree_closed_form(shape), 2 * m, f"segre closed form {shape}")
+    yield (chowring.segre_degree_expansion((2, 2)), 2, "segre (2,2)")
+    yield (chowring.segre_degree_expansion((3, 3, 3)), 90, "segre (3,3,3)")
+    yield (chowring.segre_degree_closed_form((5,)), 1, "segre single factor")
 
     for p, k, n in ((2, 1, 1), (3, 1, 1)):
         got = bounds.baseline_bound([bounds.BaselinePoint(p**n, p**k)])
-        r.expect(got, p ** (n * p**k), f"baseline p={p},k={k},n={n}")
-    r.expect(bounds.baseline_bound([(2, 1), (2, 1)]), 4, "baseline two quaternions")
-    r.expect(bounds.baseline_bound([(1, 5)]), 1, "baseline split algebra")
+        yield (got, p ** (n * p**k), f"baseline p={p},k={k},n={n}")
+    yield (bounds.baseline_bound([(2, 1), (2, 1)]), 4, "baseline two quaternions")
+    yield (bounds.baseline_bound([(1, 5)]), 1, "baseline split algebra")
 
     g = bounds.general_bound(bounds.AlgebraShape((2, 2), 2, 2))
-    r.expect((g.remainder, g.total), (0, 2), "general_bound (2,2) I=2 P=2")
+    yield ((g.remainder, g.total), (0, 2), "general_bound (2,2) I=2 P=2")
     g = bounds.general_bound(bounds.AlgebraShape((3, 3, 3), 3, 3))
-    r.expect((g.remainder, g.total), (0, 90), "general_bound (3,3,3) I=3 P=3")
+    yield ((g.remainder, g.total), (0, 90), "general_bound (3,3,3) I=3 P=3")
     g = bounds.general_bound(bounds.AlgebraShape((4,), 4, 4))
-    r.expect((g.remainder, g.total), (3, 64), "general_bound (4,) I=4 P=4")
+    yield ((g.remainder, g.total), (3, 64), "general_bound (4,) I=4 P=4")
 
-    r.expect(bounds.cofactor_m(2, 1, 1), 1, "cofactor_m(2,1,1)")
-    r.expect(bounds.cofactor_m(3, 1, 1), 10, "cofactor_m(3,1,1)")
-    r.expect(bounds.bound_improvement(2, 1, 1), (4, 2), "bound_improvement(2,1,1)")
-    r.expect(bounds.bound_improvement(3, 1, 1), (27, 9), "bound_improvement(3,1,1)")
+    yield (bounds.cofactor_m(2, 1, 1), 1, "cofactor_m(2,1,1)")
+    yield (bounds.cofactor_m(3, 1, 1), 10, "cofactor_m(3,1,1)")
+    yield (bounds.bound_improvement(2, 1, 1), (4, 2), "bound_improvement(2,1,1)")
+    yield (bounds.bound_improvement(3, 1, 1), (27, 9), "bound_improvement(3,1,1)")
 
-    r.expect(karpenko.karpenko_lower_bound(2, 1, 1), 1, "karpenko bound (2,1,1)")
-    r.expect(karpenko.karpenko_lower_bound(3, 2, 3), 1, "karpenko bound (3,2,3)")
+    yield (karpenko.karpenko_lower_bound(2, 1, 1), 1, "karpenko bound (2,1,1)")
+    yield (karpenko.karpenko_lower_bound(3, 2, 3), 1, "karpenko bound (3,2,3)")
 
     v = brauer.BrauerVector
-    r.expect(brauer.index_reduction(v(3, (1, 1, 2)), v(3, (1, 1, 1)), 2), 27, "index_reduction p=3")
-    r.expect(brauer.index_reduction(v(5, (1, 2, 3)), v(5, (1, 1, 1)), 2), 125, "index_reduction p=5")
-    r.expect(brauer.index_reduction(v(3, (1, 1, 1)), v(3, (1, 1, 1)), 2), 9, "index_reduction base class")
-    return r
+    yield (brauer.index_reduction(v(3, (1, 1, 2)), v(3, (1, 1, 1)), 2), 27, "index_reduction p=3")
+    yield (brauer.index_reduction(v(5, (1, 2, 3)), v(5, (1, 1, 1)), 2), 125, "index_reduction p=5")
+    yield (brauer.index_reduction(v(3, (1, 1, 1)), v(3, (1, 1, 1)), 2), 9, "index_reduction base class")
 
 
-def suite_valuation_oracle() -> SuiteResult:
+def suite_valuation_oracle() -> Iterator[Check]:
     """Closed-form counting identities against the Legendre oracle."""
-    r = SuiteResult("valuation-oracle")
     primes = [2, 3, 5, 7, 11, 13]
 
     for p in primes:
         for n in range(0, 7):
-            r.expect(
+            yield (
                 valuation.vp_factorial_prime_power(p, n),
                 valuation.vp_factorial_oracle(p, p**n),
                 f"v_{p}(({p}^{n})!)",
@@ -223,7 +210,7 @@ def suite_valuation_oracle() -> SuiteResult:
     for p in primes:
         for k in range(1, p):
             for n in range(0, 5):
-                r.expect(
+                yield (
                     valuation.vp_factorial_k_times_prime_power(p, k, n),
                     valuation.vp_factorial_oracle(p, k * p**n),
                     f"v_{p}(({k}*{p}^{n})!)",
@@ -232,7 +219,7 @@ def suite_valuation_oracle() -> SuiteResult:
     for p in (2, 3, 5, 7):
         for k in range(0, 4):
             for n in range(0, 4):
-                r.expect(
+                yield (
                     valuation.vp_factorial_misc(p, k, n),
                     valuation.vp_factorial_oracle(p, p**k * (p**n - 1)),
                     f"v_{p}(({p}^{k}({p}^{n}-1))!)",
@@ -243,7 +230,7 @@ def suite_valuation_oracle() -> SuiteResult:
             prod = 1
             for part in parts:
                 prod *= math.factorial(part)
-            r.expect(
+            yield (
                 valuation.multinomial(top, parts) * prod,
                 math.factorial(top),
                 f"multinomial identity {top} {parts}",
@@ -263,26 +250,22 @@ def suite_valuation_oracle() -> SuiteResult:
             want = valuation.vp_factorial_oracle(p, top) - sum(
                 valuation.vp_factorial_oracle(p, part) for part in parts
             )
-            r.expect(valuation.vp(p, coeff), want, f"v_{p} of multinomial({top},{parts})")
-    return r
+            yield (valuation.vp(p, coeff), want, f"v_{p} of multinomial({top},{parts})")
 
 
-def suite_segre_degree() -> SuiteResult:
+def suite_segre_degree() -> Iterator[Check]:
     """Ring expansion vs closed form, exhaustively for m <= 4, d_i <= 5."""
-    r = SuiteResult("segre-degree")
     for m in range(1, 5):
         for bounds_tuple in itertools.product(range(1, 6), repeat=m):
             expansion, vanishes = segre_degree_walk(bounds_tuple)
             closed = chowring.segre_degree_closed_form(bounds_tuple)
-            r.expect(expansion, closed, f"segre degree {bounds_tuple}")
-            r.expect_true(expansion > 0, f"point degree positive {bounds_tuple}")
-            r.expect_true(vanishes, f"power beyond dimension vanishes {bounds_tuple}")
-    return r
+            yield (expansion, closed, f"segre degree {bounds_tuple}")
+            yield (expansion > 0, True, f"point degree positive {bounds_tuple}")
+            yield (bool(vanishes), True, f"power beyond dimension vanishes {bounds_tuple}")
 
 
-def suite_chow_laws() -> SuiteResult:
+def suite_chow_laws() -> Iterator[Check]:
     """Commutativity, associativity and unit laws on seeded random classes."""
-    r = SuiteResult("chow-laws")
     rng = random.Random(91)
     shapes = [
         chowring.RingShape(b) for b in ((2, 2), (3, 2), (2, 2, 2), (4, 3))
@@ -293,39 +276,33 @@ def suite_chow_laws() -> SuiteResult:
             a = _random_chow_class(rng, shape)
             b = _random_chow_class(rng, shape)
             c = _random_chow_class(rng, shape)
-            r.expect(
+            yield (
                 chowring.multiply(a, b),
                 chowring.multiply(b, a),
                 f"commutativity on {shape.bounds}",
             )
-            r.expect(
+            yield (
                 chowring.multiply(chowring.multiply(a, b), c),
                 chowring.multiply(a, chowring.multiply(b, c)),
                 f"associativity on {shape.bounds}",
             )
-            r.expect(chowring.multiply(a, one), a, f"unit on {shape.bounds}")
-    return r
+            yield (chowring.multiply(a, one), a, f"unit on {shape.bounds}")
 
 
-def suite_bound_valuation() -> SuiteResult:
+def suite_bound_valuation() -> Iterator[Check]:
     """v_p(total) = n(p^k - 1), coprimality, and the two bound routes."""
-    r = SuiteResult("bound-valuation")
     for p in (2, 3, 5):
         for k in (0, 1, 2):
             for n in (1, 2):
                 report = bounds.prime_power_bound(p, k, n)
                 want = n * (p**k - 1)
-                r.expect(
-                    valuation.vp(p, report.total), want, f"v_{p}(total) p={p},k={k},n={n}"
-                )
-                r.expect(
-                    math.gcd(report.cofactor, p), 1, f"gcd(m,p) p={p},k={k},n={n}"
-                )
+                yield (valuation.vp(p, report.total), want, f"v_{p}(total) p={p},k={k},n={n}")
+                yield (math.gcd(report.cofactor, p), 1, f"gcd(m,p) p={p},k={k},n={n}")
                 general = bounds.general_bound(
                     bounds.AlgebraShape((p**n,) * p**k, p**k, p**k)
                 )
-                r.expect(general.remainder, 0, f"r=0 p={p},k={k},n={n}")
-                r.expect(
+                yield (general.remainder, 0, f"r=0 p={p},k={k},n={n}")
+                yield (
                     general.multinomial_factor,
                     report.total,
                     f"general vs prime-power p={p},k={k},n={n}",
@@ -333,40 +310,30 @@ def suite_bound_valuation() -> SuiteResult:
     for d in range(1, 6):
         for period in (1, d):
             g = bounds.general_bound(bounds.AlgebraShape((d,), d, period))
-            r.expect(g.multinomial_factor, 1, f"single-component multinomial d={d}")
-            r.expect(
-                g.total, period ** ((d - 1) % d), f"single-component total d={d},P={period}"
-            )
-    return r
+            yield (g.multinomial_factor, 1, f"single-component multinomial d={d}")
+            yield (g.total, period ** ((d - 1) % d), f"single-component total d={d},P={period}")
 
 
-def suite_karpenko_certificates() -> SuiteResult:
+def suite_karpenko_certificates() -> Iterator[Check]:
     """Closed-form certificates vs the symbolic route, plus the grouped oracle."""
-    r = SuiteResult("karpenko-certificates")
     sweep_cap = 10**7
     for p in (3, 5, 7):
         rr = 1
         while p ** (rr * p) <= sweep_cap:
             cert = karpenko.corestriction_certificate(p, rr)
-            r.expect_true(cert.violated, f"certificate violated p={p},r={rr}")
-            r.expect(
+            yield (bool(cert.violated), True, f"certificate violated p={p},r={rr}")
+            yield (
                 karpenko.proof_inequalities(p, rr),
                 cert.violated,
                 f"symbolic vs closed form p={p},r={rr}",
             )
-            r.expect(
-                cert.codim,
-                p ** (rr * p) - p**rr - p - 1,
-                f"codimension formula p={p},r={rr}",
-            )
-            r.expect(
-                cert.observed_valuation, rr * p - rr, f"observed valuation p={p},r={rr}"
-            )
+            yield (cert.codim, p ** (rr * p) - p**rr - p - 1, f"codimension formula p={p},r={rr}")
+            yield (cert.observed_valuation, rr * p - rr, f"observed valuation p={p},r={rr}")
             rr += 1
 
     # the symbolic route on its own, past the sweep above
     for p, rr in ((3, 5), (5, 3), (7, 5), (11, 2), (13, 1)):
-        r.expect_true(karpenko.proof_inequalities(p, rr), f"symbolic only p={p},r={rr}")
+        yield (bool(karpenko.proof_inequalities(p, rr)), True, f"symbolic only p={p},r={rr}")
 
     rng = random.Random(422)
     grid = [(p, n, k) for p in (2, 3, 5, 7) for n in (1, 2, 3) for k in (1, 2, 3, 7, 26, 120)]
@@ -375,23 +342,21 @@ def suite_karpenko_certificates() -> SuiteResult:
     for p, n, k in grid:
         closed = karpenko.karpenko_lower_bound(p, n, k)
         grouped = karpenko_lower_bound_grouped(p, n, k)
-        r.expect(closed, grouped, f"closed form vs grouped p={p},n={n},k={k}")
-        r.expect_true(closed <= k, f"bound <= codim p={p},n={n},k={k}")
+        yield (closed, grouped, f"closed form vs grouped p={p},n={n},k={k}")
+        yield (closed <= k, True, f"bound <= codim p={p},n={n},k={k}")
 
     aux = karpenko.auxiliary_inequalities
-    r.expect(tuple(aux(3, 1)), (True, True), "auxiliary (3,1)")
-    r.expect(aux(2, 1).pr_ge_r_plus_2, False, "auxiliary (2,1) first fails")
-    r.expect(tuple(aux(3, 4)), (True, True), "auxiliary (3,4)")
-    return r
+    yield (tuple(aux(3, 1)), (True, True), "auxiliary (3,1)")
+    yield (aux(2, 1).pr_ge_r_plus_2, False, "auxiliary (2,1) first fails")
+    yield (tuple(aux(3, 4)), (True, True), "auxiliary (3,4)")
 
 
-def suite_brauer_model() -> SuiteResult:
+def suite_brauer_model() -> Iterator[Check]:
     """Index reduction against its min form, then the scenarios and case tables.
 
     The min-form sweep runs first, so a wrong index_reduction shows up as
     labelled failures before the scenarios' ConsistencyErrors.
     """
-    r = SuiteResult("brauer-model")
     rng = random.Random(77)
     for p in (3, 5):
         for _ in range(10):
@@ -402,17 +367,16 @@ def suite_brauer_model() -> SuiteResult:
                 for d in (1, 2):
                     got = brauer.index_reduction(brauer.BrauerVector(p, b), a, d)
                     label = f"index reduction vs min form p={p},d={d},B={b},A={fiber}"
-                    r.expect(got, index_reduction_by_min_form(p, b, fiber, d), label)
+                    yield (got, index_reduction_by_min_form(p, b, fiber, d), label)
 
     pair = operator.itemgetter("index_of_A", "index_of_A_prime")
     for p in (3, 5, 7):
-        r.expect(_read(pair, brauer.prop1_scenario, p), (p**2, p**p), f"prop1 scenario p={p}")
-        r.expect(_read(len, brauer.prop1_case_table, p), p * p, f"prop1 table length p={p}")
+        yield (_read(pair, brauer.prop1_scenario, p), (p**2, p**p), f"prop1 scenario p={p}")
+        yield (_read(len, brauer.prop1_case_table, p), p * p, f"prop1 table length p={p}")
         for n in range(2, p):
             for d in range(1, n):
                 got = _read(pair, brauer.prop2_scenario, p, d, n)
-                r.expect(got, (p**d, p**n), f"prop2 scenario p={p},d={d},n={n}")
-    return r
+                yield (got, (p**d, p**n), f"prop2 scenario p={p},d={d},n={n}")
 
 
 # suite name -> suite, in the order `verify --all` runs them
@@ -434,10 +398,11 @@ def suite_names() -> tuple[str, ...]:
 def run_suites(names: list[str] | None = None) -> list[SuiteResult]:
     """Run the named suites in the order given (all of them by default).
 
-    An unknown name raises ValueError before any suite runs.  An
-    exception inside a suite is recorded as that suite's failure, so the
-    remaining suites still run and the caller sees an internal failure
-    rather than a domain error.
+    An unknown name raises ValueError before any suite runs.  Each check
+    a suite yields is counted, and a mismatch is recorded under its
+    label.  An exception inside a suite is recorded as that suite's one
+    failure, with no checks, so the remaining suites still run and the
+    caller sees an internal failure rather than a domain error.
     """
     names = list(_SUITES) if names is None else names
     for name in names:
@@ -445,8 +410,13 @@ def run_suites(names: list[str] | None = None) -> list[SuiteResult]:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
     results = []
     for name in names:
+        checks, failures = 0, []
         try:
-            results.append(_SUITES[name]())
+            for got, want, label in _SUITES[name]():
+                checks += 1
+                if got != want:
+                    failures.append(f"{label}: got {got!r}, want {want!r}")
         except Exception as exc:
-            results.append(SuiteResult(name, failures=[f"{type(exc).__name__}: {exc}"]))
+            checks, failures = 0, [f"{type(exc).__name__}: {exc}"]
+        results.append(SuiteResult(name, checks, failures))
     return results

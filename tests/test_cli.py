@@ -9,7 +9,7 @@ import time
 import pytest
 
 import csatools
-from csatools import bounds, chowring, cli, karpenko, valuation, verify
+from csatools import bounds, brauer, chowring, cli, karpenko, valuation, verify
 from csatools.errors import ConsistencyError
 
 
@@ -443,6 +443,40 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert "result: FAIL (2/3 suites)" in out
         assert f"chow-laws: {error.__name__}: forced for the test" in err
+
+    def test_scenario_inconsistency_is_one_failed_check(self, monkeypatch):
+        def forced(p):
+            raise ConsistencyError(f"forced at p={p}")
+
+        monkeypatch.setattr(brauer, "prop1_scenario", forced)
+        [result] = verify.run_suites(["brauer-model"])
+        assert (result.checks, len(result.failures)) == (108, 3)
+        assert result.failures[0] == (
+            "prop1 scenario p=3: got ConsistencyError('forced at p=3'), want (9, 27)")
+
+    def test_suite_raising_after_its_first_checks_reports_none(self, monkeypatch):
+        def forced(p, r):  # the suite's last three checks call it, after 263 others
+            raise RuntimeError("forced for the test")
+
+        monkeypatch.setattr(karpenko, "auxiliary_inequalities", forced)
+        [result] = verify.run_suites(["karpenko-certificates"])
+        assert (result.checks, result.failures) == (0, ["RuntimeError: forced for the test"])
+
+    def test_failure_notes_are_capped_at_20_per_suite(self, capsys, monkeypatch):
+        results = [
+            verify.SuiteResult("known-values", checks=33, failures=[]),
+            verify.SuiteResult("chow-laws", checks=144, failures=[f"forced {i}" for i in range(25)]),
+        ]
+        monkeypatch.setattr(verify, "run_suites", lambda names=None: results)
+        argv = ["verify", "--suite", "known-values", "--suite", "chow-laws"]
+        assert cli.run(argv) == 3
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"chow-laws: forced {i}" for i in range(20)]
+        assert "chow-laws      25 failed    144 checks  FAIL\n" in out
+        assert cli.run(argv + ["--format", "json-like-stable-schema"]) == 3
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 20
+        assert '"chow-laws": "FAIL (25 failures), 144 checks"' in out
 
     def test_all_with_suite_is_usage_error(self, capsys):
         assert cli.run(["verify", "--all", "--suite", "known-values"]) == 2
