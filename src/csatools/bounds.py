@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConsistencyError
-from .valuation import Frozen, Prime, multinomial, refuse_oversized
+from .valuation import Frozen, Prime, multinomial, multinomial_bits, refuse_oversized
 
 
 class AlgebraShape(Frozen):
@@ -82,13 +82,17 @@ class PrimePowerBound(NamedTuple):
 
 
 def general_bound(shape: AlgebraShape) -> BoundReport:
-    """Degree of a splitting extension from index and period alone."""
-    degrees = shape.degrees
-    m = len(degrees)
-    top = sum(degrees) - m
+    """Degree of a splitting extension from index and period alone.
+
+    The total is sized, as the multinomial's estimate plus the period
+    power's r * bit_length(period), before either factor is built.
+    """
+    parts = [d - 1 for d in shape.degrees]
+    top = sum(parts)
     r = top % shape.index
-    mult = multinomial(top, [d - 1 for d in degrees])
-    refuse_oversized("the period power", r * shape.period.bit_length())
+    refuse_oversized("the general bound",
+                     multinomial_bits(top, parts) + r * shape.period.bit_length())
+    mult = multinomial(top, parts)
     period_power = shape.period**r
     return BoundReport(
         multinomial_factor=mult,

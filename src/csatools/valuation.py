@@ -74,13 +74,11 @@ STEP_LIMIT = 2**18
 def refuse_overlong(what: str, base: int, exponent: int, factor: int) -> None:
     """Raise ValueError if `what`, base^exponent * factor loop steps, is past STEP_LIMIT.
 
-    The steps are compared in log space first: for base >= 2 they are at
-    least 2^(exponent * (bit_length(base) - 1) + bit_length(factor) - 1), so
-    a large exponent is refused without building the power, and any power
-    that is built has fewer than 2 * STEP_LIMIT.bit_length() bits.
+    Both callers pass a Prime base and a factor of at least 1, so an
+    exponent of STEP_LIMIT.bit_length() or more is past the limit, and
+    the power is built only for a smaller exponent.
     """
-    low_bits = exponent * (base.bit_length() - 1) + factor.bit_length() - 1
-    if low_bits >= STEP_LIMIT.bit_length() or base**exponent * factor > STEP_LIMIT:
+    if exponent >= STEP_LIMIT.bit_length() or base**exponent * factor > STEP_LIMIT:
         raise ValueError(f"{what} would take {base}^{exponent} * {factor} loop steps, "
                          f"beyond the step limit of {STEP_LIMIT} steps")
 
@@ -242,12 +240,19 @@ def vp_factorial_misc(p: int, k: int, n: int) -> int:
     return vp_factorial_prime_power(p, k + n) - vp_factorial_prime_power(p, k) - n
 
 
+def multinomial_bits(top: int, parts: list[int] | tuple[int, ...]) -> int:
+    """The size estimate of multinomial(top, parts): (top - largest part) * bit_length(top).
+
+    The coefficient is at most top^(top - largest part), so a single part costs nothing.
+    """
+    return (top - max(parts, default=0)) * top.bit_length()
+
+
 def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
     """Exact multinomial coefficient top! / prod(part_i!).
 
     Computed as a product of binomials over the running partial sums, so
     the full factorials are never materialized.  Requires sum(parts) == top.
-    It is at most top^(top - largest part), so a single part costs nothing.
     """
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
@@ -257,7 +262,7 @@ def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
             raise ValueError(f"parts must be nonnegative, got {part}")
     if sum(parts) != top:
         raise ValueError(f"parts {parts} sum to {sum(parts)}, expected top={top}")
-    refuse_oversized("the multinomial", (top - max(parts, default=0)) * top.bit_length())
+    refuse_oversized("the multinomial", multinomial_bits(top, parts))
     out = 1
     running = 0
     for part in parts:

@@ -148,6 +148,10 @@ class TestSerialization:
         cls = ChowClass(shape, {(2, 0): 1, (0, 2): 1, (1, 1): -2})
         assert cls.to_text() == "1·l1^0*l2^2 + -2·l1^1*l2^1 + 1·l1^2*l2^0"
 
+    def test_repr_names_the_shape_and_the_text(self):
+        # verify's chow-laws failure messages print this form
+        assert repr(ChowClass(RingShape((2, 2)), {(1, 1): 2})) == "ChowClass((2, 2), 2·l1^1*l2^1)"
+
 
 class TestSegreDegrees:
     def test_known_degree_values(self):

@@ -75,10 +75,15 @@ BOUNDARY = {
         lambda: bounds.baseline_bound([(3, LIMIT // 2), (2, 1)]),
         "the baseline product",
     ),
-    "general_bound": (  # period power: r * bit_length(period), r = top mod index
-        lambda: bounds.general_bound(bounds.AlgebraShape((LIMIT // 2 + 1,), 3**13, 3)).period_power,
+    "general_bound": (  # multinomial estimate (0 for one part) + r * bit_length(period), r = top mod index
+        lambda: bounds.general_bound(bounds.AlgebraShape((LIMIT // 2 + 1,), 3**13, 3)).total,
         lambda: bounds.general_bound(bounds.AlgebraShape((LIMIT // 2 + 2,), 3**13, 3)),
-        "the period power",
+        "the general bound",
+    ),
+    "general_bound, many small parts": (  # 59,999 * 16 + 60,000 * 34 = 2,999,984 bits
+        None,
+        lambda: bounds.general_bound(bounds.AlgebraShape((2,) * 60000, 2**33, 2**33)),
+        "the general bound",
     ),
     "prop1_scenario": (  # p^p: p * bit_length(p)
         None,
@@ -115,6 +120,18 @@ def test_answers_at_the_limit_and_refuses_past_it(route):
 def test_an_estimate_of_2_64_bits_or_more_is_named_by_the_power_of_two_above_it(bits, shown):
     with pytest.raises(ValueError, match=f"^x would have up to {re.escape(shown)} bits, "):
         valuation.refuse_oversized("x", bits)
+
+
+@pytest.mark.parametrize("route, bits", [("general_bound", 2 * (LIMIT // 2 + 1)),
+                                         ("general_bound, many small parts", 2_999_984)])
+def test_general_bound_refuses_before_it_builds_the_multinomial(monkeypatch, route, bits):
+    def unreachable(top, parts):
+        raise AssertionError("the multinomial was built")
+
+    monkeypatch.setattr(bounds, "multinomial", unreachable)
+    with pytest.raises(ValueError, match=f"^the general bound would have up to {bits} bits, "
+                                         f"beyond the size limit of {LIMIT} bits$"):
+        BOUNDARY[route][1]()
 
 
 def test_case_table_answers_for_the_last_prime_before_its_limit():
@@ -157,7 +174,7 @@ def test_answers_at_the_step_limit_and_refuses_past_it(route):
 
 
 @pytest.mark.parametrize("base", [2, 3, 7, 61, 2**18 - 5, 2**18 + 3])
-def test_the_log_space_screen_refuses_exactly_the_steps_past_the_limit(base):
+def test_the_step_check_refuses_exactly_the_steps_past_the_limit(base):
     for exponent in range(0, 40):
         for factor in (1, 2, 3, 5, 60, 61, 2**16, 2**18, 2**18 + 1):
             over = base**exponent * factor > STEP_LIMIT
