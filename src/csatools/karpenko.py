@@ -16,6 +16,10 @@ bound.  proof_inequalities establishes the same violation symbolically,
 with no minimization and no big number, in at most ceil((rp - r)/p)
 valuations of numbers below rp + p + 1.  One instance check limits p^{rp}
 for the certificate and the symbolic loop alike; p^r has the same limit.
+
+The paper proves the corestriction result for odd p and index p^n with
+n < p^2, that is n = rp with r < p.  Both routes take any r >= 1; for
+r >= p their answer is the formula's, outside the range the paper states.
 """
 
 from __future__ import annotations
@@ -102,6 +106,9 @@ def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
     At v >= 2, s mod p^v is p + 1 (v <= r) or s (v > r); both are positive
     and at most 2p^{v-1} + 1, so k mod p^v >= p^v - 2p^{v-1} - 1
     >= p^{v-1} - 1 >= 3^{v-1} - 1 >= v.
+
+    The paper states the result for r < p only (n = rp < p^2); for r >= p
+    this is the formula's answer, outside that range.
     """
     p = _certificate_instance(p, r)
     n = r * p
@@ -153,7 +160,8 @@ def proof_inequalities(p: int, r: int) -> bool:
     v_p(k - i) = v_p(p + 1 + i) while that is below r, and it is: no i is
     left at r = 1, and p + 1 + i <= rp + p - r < p^r at r >= 2.  The
     instance is checked as for corestriction_certificate, whose size limit
-    on p^{rp} bounds the loop.
+    on p^{rp} bounds the loop.  As there, the paper states the result for
+    r < p only; for r >= p this is the formula's answer, outside that range.
     """
     p = _certificate_instance(p, r)
     return all(vp(p, p + 1 + i) < r + i for i in range(p - 1, r * p - r, p))

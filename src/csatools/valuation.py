@@ -13,37 +13,30 @@ Frozen is the base of the package's validated value types.
 
 Prime validates every p the package takes with is_prime_64bit, at a
 cost that grows with p: one gcd with 2 * 3 * ... * 37 decides every
-n < 41^2, and above that Miller-Rabin runs on the fewest of the bases
-2, 3, ..., 37 that are deterministic below n (one base below 2047, all
-twelve only from 3825123056546413051 on).  The 2^64 bound is one of
-correctness, not of cost, so it is not a refuse_oversized estimate.
+n < 41^2, and above that Miller-Rabin runs on the first of four
+published base sets that is deterministic below a bound past n, so on
+at most seven bases.  The 2^64 bound is one of correctness, not of
+cost, so it is not a refuse_oversized estimate.
 """
 
 from __future__ import annotations
 
 import math
 
-# The twelve primes up to 37: the trial divisors and the Miller-Rabin bases.
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_BASES_PRODUCT = math.prod(_BASES)  # 7420738134810, for trial division by one gcd
+# The twelve primes up to 37, the trial divisors.
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)  # 7420738134810, for trial division by one gcd
 _TRIAL_CUTOFF = 41 * 41  # below it, an n with no factor up to 37 is prime
 _PRIME_CHECK_LIMIT = 2**64
-# (bound, k): the first k bases decide every n below bound (OEIS A014233),
-# and bound itself is a strong pseudoprime to those k.  A prefix that
-# reaches no further is left out: 341550071728321 also fools base 19, and
-# 3825123056546413051 also fools 29 and 31.  The twelve decide every n
-# below 318665857834031151167461 = 399165290221 * 798330580441, which
-# fools all twelve, so every n < 2^64.
+# (bound, bases): Miller-Rabin to these bases decides every n below bound.
+# The first two rows are OEIS A014233's, the third is Jaeschke's (Math.
+# Comp. 61, 1993) and the last Sinclair's (2011).  Every n that reaches a
+# row is past its largest base.
 _WITNESS_TIERS = (
-    (2_047, 1),
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (_PRIME_CHECK_LIMIT, 12),
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (4_759_123_141, (2, 7, 61)),
+    (_PRIME_CHECK_LIMIT, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
 
 # No route builds a number estimated past this many bits: that bounds
@@ -89,7 +82,7 @@ class Frozen:
     A subclass names its fields in __slots__ and sets them, once validated,
     with object.__setattr__ in __init__.  Two instances of one class are
     equal when their fields are.  It stands in for a frozen dataclass:
-    importing dataclasses would cost each CLI process about 13 ms.
+    importing dataclasses would cost each CLI process about 10 ms.
     """
 
     __slots__ = ()
@@ -135,20 +128,21 @@ def is_prime_64bit(n: int) -> bool:
     """Deterministic primality check for 0 <= n < 2**64.
 
     One gcd with 2 * 3 * ... * 37 does the trial division, which settles
-    every n < 41^2.  Above that, Miller-Rabin runs on the shortest prefix
-    of the bases 2, 3, ..., 37 that is deterministic below n.
+    every n < 41^2.  Above that, Miller-Rabin runs on {2} below 2047,
+    {2, 3} below 1373653, {2, 7, 61} below 4759123141, and on Sinclair's
+    seven bases up to 2^64: at most seven rounds.
     """
     if n >= _PRIME_CHECK_LIMIT:
         raise ValueError(f"primality check is deterministic only below 2**64, got {n}")
     if n < 2:
         return False
-    if math.gcd(n, _BASES_PRODUCT) != 1:
-        return n in _BASES
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
+        return n in _TRIAL_PRIMES
     if n < _TRIAL_CUTOFF:
         return True
-    for bound, k in _WITNESS_TIERS:
+    for bound, bases in _WITNESS_TIERS:
         if n < bound:
-            return _strong_probable_prime(n, _BASES[:k])
+            return _strong_probable_prime(n, bases)
 
 
 class Prime(int):

@@ -21,7 +21,8 @@ PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
 
 class TestPrime:
     def test_accepts_primes(self):
-        for p in PRIMES_TO_13 + [101, 2**31 - 1, 2**61 - 1]:
+        for p in PRIMES_TO_13 + [101, 2**31 - 1, 998244353, 1000000007, 4294967291, 2**61 - 1,
+                                  18446744073709551557]:
             assert Prime(p) == p
 
     @pytest.mark.parametrize("bad", [-7, 0, 1, 4, 6, 9, 15, 21, 1024])
@@ -66,6 +67,20 @@ A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
            341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
            3825123056546413051, 318665857834031151167461)
 BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The reference rule: (bound, k) means the first k of BASES decide every n
+# below bound (A014233).  A prefix that reaches no further is left out.
+PREFIX_TIERS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+                (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9), (2**64, 12))
+
+
+def prefix_rule_is_prime(n):
+    """Trial division by BASES, then Miller-Rabin to the shortest prefix of BASES deciding n."""
+    if n < 2 or math.gcd(n, math.prod(BASES)) != 1:
+        return n in BASES
+    if n < 41 * 41:
+        return True
+    k = next(k for bound, k in PREFIX_TIERS if n < bound)
+    return valuation._strong_probable_prime(n, BASES[:k])
 
 
 def _sieve(limit):
@@ -78,17 +93,28 @@ def _sieve(limit):
 
 
 class TestWitnessTiers:
+    def test_rows_cover_the_range_with_bases_below_every_n_they_take(self):
+        rows = valuation._WITNESS_TIERS
+        assert [bound for bound, _ in rows] == [2047, 1373653, 4759123141, 2**64]
+        lows = [41 * 41] + [bound for bound, _ in rows[:-1]]
+        for low, (_, bases) in zip(lows, rows):  # the helper needs n > max(bases)
+            assert max(bases) < low
+
+    @pytest.mark.parametrize("bound,bases", valuation._WITNESS_TIERS[:-1])
+    def test_each_row_bound_fools_its_own_bases(self, bound, bases):
+        assert valuation._strong_probable_prime(bound, bases)
+        assert not is_prime_64bit(bound)  # a later row's bases catch it
+
     def test_tiers_are_the_distinct_a014233_bounds(self):
-        tiers = valuation._WITNESS_TIERS
-        assert tiers[-1] == (2**64, 12)
-        assert [bound for bound, _ in tiers[:-1]] == sorted(set(A014233[:-1]))
-        for bound, k in tiers[:-1]:  # k is the fewest bases that reach this bound
+        assert PREFIX_TIERS[-1] == (2**64, 12)
+        assert [bound for bound, _ in PREFIX_TIERS[:-1]] == sorted(set(A014233[:-1]))
+        for bound, k in PREFIX_TIERS[:-1]:  # k is the fewest bases that reach this bound
             assert A014233[k - 1] == bound and (k == 1 or A014233[k - 2] < bound)
 
-    @pytest.mark.parametrize("bound,k", valuation._WITNESS_TIERS[:-1])
+    @pytest.mark.parametrize("bound,k", PREFIX_TIERS[:-1])
     def test_each_bound_fools_its_own_tier(self, bound, k):
         assert valuation._strong_probable_prime(bound, BASES[:k])
-        assert not is_prime_64bit(bound)  # the next tier's bases catch it
+        assert not is_prime_64bit(bound)
 
     def test_merged_prefixes_are_fooled_by_the_same_bound(self):
         # why 2..19 gets no tier of its own, nor 2..29 or 2..31
@@ -101,6 +127,16 @@ class TestWitnessTiers:
         assert valuation._strong_probable_prime(n, BASES)
         assert not valuation._strong_probable_prime(n, BASES + (41,))
 
+    def test_agrees_with_the_prefix_rule_in_every_row(self):
+        rng = random.Random(27)
+        lows = [41 * 41] + [bound for bound, _ in valuation._WITNESS_TIERS[:-1]]
+        cases = [n for n in A014233 if n < 2**64]
+        for low, (high, _) in zip(lows, valuation._WITNESS_TIERS):
+            cases += [rng.randrange(low, high) | 1 for _ in range(2000)]
+            cases += range((high - 2) | 1, high - 400, -2)  # the odd n just below each bound
+        assert [n for n in cases if is_prime_64bit(n) != prefix_rule_is_prime(n)] == []
+        assert sum(map(is_prime_64bit, cases)) > 100  # primes, not only composites, compared
+
     def test_agrees_with_a_sieve_below_a_million(self):
         limit = 10**6
         flags = _sieve(limit)
@@ -109,7 +145,8 @@ class TestWitnessTiers:
     def test_edges_of_the_cutoff_the_first_tiers_and_the_range(self):
         # 1681 = 41^2 and 1679 = 23 * 73; 1693 and 2039 take base 2 alone
         for n, prime in ((40, False), (41, True), (1679, False), (1681, False), (1693, True),
-                         (2039, True), (1373651, False), (2**64 - 59, True), (2**64 - 1, False)):
+                         (2039, True), (1373651, False), (4294967291, True), (4759123141, False),
+                         (2**64 - 59, True), (2**64 - 1, False)):
             assert is_prime_64bit(n) is prime, n
 
 
