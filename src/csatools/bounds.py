@@ -17,10 +17,11 @@ Three bounds live here:
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import ConsistencyError
-from .valuation import Frozen, Prime, multinomial, multinomial_bits, refuse_oversized
+from .valuation import Frozen, Prime, multinomial, multinomial_bits, product, refuse_oversized
 
 
 class AlgebraShape(Frozen):
@@ -34,11 +35,12 @@ class AlgebraShape(Frozen):
     __slots__ = ("degrees", "index", "period")
 
     def __init__(self, degrees: tuple[int, ...], index: int, period: int):
-        degrees = tuple(sorted(int(d) for d in degrees))
+        degrees = tuple(sorted(map(operator.index, degrees)))
         if len(degrees) < 1:
             raise ValueError("need at least one component degree")
         if any(d < 1 for d in degrees):
             raise ValueError(f"component degrees must be >= 1, got {degrees}")
+        index, period = operator.index(index), operator.index(period)
         if index < 1 or period < 1:
             raise ValueError("index and period must be positive")
         if index % period != 0:
@@ -54,6 +56,8 @@ class BaselinePoint(Frozen):
     __slots__ = ("component_degree", "residue_degree")
 
     def __init__(self, component_degree: int, residue_degree: int):
+        component_degree = operator.index(component_degree)
+        residue_degree = operator.index(residue_degree)
         if component_degree < 1 or residue_degree < 1:
             raise ValueError("baseline point entries must be >= 1")
         object.__setattr__(self, "component_degree", component_degree)
@@ -149,7 +153,7 @@ def prime_power_bound(p: int, k: int, n: int) -> PrimePowerBound:
 
 
 def baseline_bound(points: list[BaselinePoint]) -> int:
-    """prod (component degree)^(residue degree): the no-hypothesis bound."""
+    """prod (component degree)^(residue degree): the no-hypothesis bound, as a balanced product."""
     pts = [
         pt if isinstance(pt, BaselinePoint) else BaselinePoint(*pt)
         for pt in points
@@ -158,10 +162,7 @@ def baseline_bound(points: list[BaselinePoint]) -> int:
         raise ValueError("baseline bound needs at least one point")
     refuse_oversized("the baseline product", sum(
         pt.residue_degree * pt.component_degree.bit_length() for pt in pts))
-    out = 1
-    for pt in pts:
-        out *= pt.component_degree**pt.residue_degree
-    return out
+    return product(pt.component_degree**pt.residue_degree for pt in pts)
 
 
 class BoundImprovement(NamedTuple):

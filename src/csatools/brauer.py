@@ -28,6 +28,7 @@ gcd written as a minimum over the p - 1 nonzero shifts
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import ConsistencyError
 from .valuation import Frozen, Prime, refuse_overlong, refuse_oversized
@@ -43,7 +44,7 @@ class BrauerVector(Frozen):
 
     def __init__(self, p: int, coords: tuple[int, ...]):
         p = Prime(p)
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(operator.index, coords))
         if len(coords) < 1:
             raise ValueError("a Brauer vector needs at least one coordinate")
         for c in coords:

@@ -15,7 +15,7 @@ of the package's standing cross-checks.
 
 from __future__ import annotations
 
-from operator import add, ge
+from operator import add, ge, index
 
 from .valuation import Frozen, multinomial
 
@@ -26,7 +26,7 @@ class RingShape(Frozen):
     __slots__ = ("bounds",)
 
     def __init__(self, bounds: tuple[int, ...]):
-        bounds = tuple(int(d) for d in bounds)
+        bounds = tuple(map(index, bounds))
         if len(bounds) < 1:
             raise ValueError("a ring shape needs at least one factor")
         if any(d < 1 for d in bounds):
@@ -68,7 +68,7 @@ class ChowClass(Frozen):
         bounds = shape.bounds
         clean: dict[tuple[int, ...], int] = {}
         for exponents, coeff in terms.items():
-            exponents = tuple(map(int, exponents))
+            exponents = tuple(map(index, exponents))
             if len(exponents) != len(bounds):
                 raise ValueError(
                     f"exponent vector {exponents} does not match shape {bounds}"
@@ -77,7 +77,7 @@ class ChowClass(Frozen):
                 raise ValueError(f"negative exponent in {exponents}")
             if any(map(ge, exponents, bounds)):
                 continue  # l_i^{d_i} = 0
-            coeff = clean.get(exponents, 0) + int(coeff)
+            coeff = clean.get(exponents, 0) + index(coeff)
             if coeff:
                 clean[exponents] = coeff
             else:

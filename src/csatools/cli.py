@@ -218,6 +218,13 @@ def _prop1_table(a) -> Result:
     ], text=table)
 
 
+def _paper_range(a) -> list:
+    """The provenance line that marks an answer at r >= p as the formula's, outside the paper."""
+    if a.r < a.p:
+        return []
+    return ["r >= p: outside the paper's range (odd p, n = rp < p^2); the formula's answer"]
+
+
 def _verify(a) -> Result:
     if a.all and a.suite:
         raise UsageError("--all and --suite cannot be combined")
@@ -319,6 +326,7 @@ COMMANDS = {
             "codim = p^(r*p) - p^r - p - 1",
             "observed valuation = r*p - r",
             "violated = observed valuation < cycle-degree lower bound",
+            *_paper_range(a),
         ]),
     ),
     "proof-inequalities": Command(
@@ -330,6 +338,7 @@ COMMANDS = {
             [
                 "symbolic certificate: window check for small i, valuation bound for large i",
                 "auxiliary comparisons p^r >= r+2 and p^r >= r*p evaluated exactly",
+                *_paper_range(a),
             ],
         ),
     ),

@@ -4,11 +4,12 @@ Everything here is plain Python integers (arbitrary precision); no floats
 are used anywhere in the package.  The module provides a Legendre-style
 oracle v_p(n!) = sum floor(n/p^i), three closed-form counting identities
 for factorials of special shapes, and exact multinomial coefficients.
-The closed forms never call the oracle and vice versa, so each side can
-be used to check the other.  refuse_oversized is the package's one size
-limit: every route that builds a big number checks its estimate first.
-refuse_overlong is its one loop-step limit, for a route whose loop runs
-longer than its output's size suggests.
+product, multiplying in pairs, is the package's one product of many
+factors.  The closed forms never call the oracle and vice versa, so
+each side can be used to check the other.  refuse_oversized is the
+package's one size limit: every route that builds a big number checks
+its estimate first.  refuse_overlong is its one loop-step limit, for a
+route whose loop runs longer than its output's size suggests.
 Frozen is the base of the package's validated value types.
 
 Prime validates every p the package takes with is_prime_64bit, at a
@@ -21,7 +22,9 @@ cost, so it is not a refuse_oversized estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 # The twelve primes up to 37, the trial divisors.
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -157,7 +160,7 @@ class Prime(int):
     def __new__(cls, value) -> "Prime":
         if isinstance(value, cls):
             return value
-        v = int(value)
+        v = operator.index(value)
         if not is_prime_64bit(v):
             raise ValueError(f"{v} is not a prime")
         return super().__new__(cls, v)
@@ -170,6 +173,7 @@ def vp(p: int, n: int) -> int:
     p, p, p^2, p^4, ... while that divides: O(log^2 v) divisions, not v.
     """
     p = Prime(p)
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"v_p is only defined for n >= 1, got n={n}")
     v = 0
@@ -242,11 +246,28 @@ def multinomial_bits(top: int, parts: list[int] | tuple[int, ...]) -> int:
     return (top - max(parts, default=0)) * top.bit_length()
 
 
+def product(factors) -> int:
+    """The product of the integers `factors` (1 for none), multiplied in pairs.
+
+    Neighbours are multiplied in pairs, round after round, so each round
+    costs about one multiplication of the answer's size (Borwein, J.
+    Algorithms 6, 1985), where a running product costs one per factor.
+    math.prod takes the last eight or fewer, which is all of a small call.
+    """
+    factors = list(factors)
+    while len(factors) > 8:
+        if len(factors) % 2:
+            factors.append(1)
+        factors = list(map(operator.mul, factors[::2], factors[1::2]))
+    return math.prod(factors)
+
+
 def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
     """Exact multinomial coefficient top! / prod(part_i!).
 
-    Computed as a product of binomials over the running partial sums, so
-    the full factorials are never materialized.  Requires sum(parts) == top.
+    The balanced product of the binomials over the running partial sums,
+    so the full factorials are never materialized.  Requires
+    sum(parts) == top.
     """
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
@@ -257,9 +278,4 @@ def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
     if sum(parts) != top:
         raise ValueError(f"parts {parts} sum to {sum(parts)}, expected top={top}")
     refuse_oversized("the multinomial", multinomial_bits(top, parts))
-    out = 1
-    running = 0
-    for part in parts:
-        running += part
-        out *= math.comb(running, part)
-    return out
+    return product(map(math.comb, itertools.accumulate(parts), parts))

@@ -136,6 +136,17 @@ class TestBasicCommands:
         assert pairs["pr_ge_r_plus_2"] == "true"
         assert pairs["pr_ge_rp"] == "true"
 
+    @pytest.mark.parametrize("command", ["corestriction-cert", "proof-inequalities"])
+    @pytest.mark.parametrize("r, marked", [(2, False), (3, True)])
+    def test_provenance_marks_r_at_least_p_as_outside_the_paper(self, capsys, command, r, marked):
+        note = "r >= p: outside the paper's range (odd p, n = rp < p^2); the formula's answer"
+        argv = [command, "--p", "3", "--r", str(r)]
+        text = run_ok(capsys, argv).splitlines()
+        record = json.loads(get_json(capsys, argv))["provenance"]
+        assert (f"# {note}" in text, note in record) == (marked, marked)
+        if marked:
+            assert text[-1] == f"# {note}" and record[-1] == note
+
     def test_index_reduction(self, capsys):
         pairs = run_pairs(
             capsys,

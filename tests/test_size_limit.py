@@ -2,16 +2,20 @@
 
 Each route estimates the bits of what it is about to build and passes the
 estimate to valuation.refuse_oversized.  Each guarded route is run one
-step past the limit, where it must refuse before building anything, and,
-where that is cheap, exactly at the limit, where it must answer with a
-number of at most SIZE_LIMIT_BITS bits.  The certificate routes have
-their own boundary tests in test_karpenko.py.  index_reduction's p^d
-terms of n coordinates are checked the same way against
-valuation.refuse_overlong's STEP_LIMIT.
+step past the limit, where it must refuse before building anything, and
+exactly at the limit, where it must answer with a number of at most
+SIZE_LIMIT_BITS bits, wherever that is cheap.  The many-factor products,
+multinomial's many parts and baseline_bound's many points, are run at
+their worst shape at the limit, against their known answers and a
+wall-clock bound.  The certificate routes have their own boundary tests
+in test_karpenko.py.  index_reduction's p^d terms of n coordinates are
+checked the same way against valuation.refuse_overlong's STEP_LIMIT.
 """
 
 import itertools
+import math
 import re
+import time
 
 import pytest
 
@@ -21,11 +25,25 @@ from csatools.valuation import STEP_LIMIT
 
 MULTINOMIAL_TOP = 2**20  # bit_length 21
 MULTINOMIAL_PART = LIMIT // MULTINOMIAL_TOP.bit_length()
+# the most parts of 1 the multinomial estimate admits: (ONES - 1) * bit_length(ONES) <= LIMIT
+ONES = 123_362
+POINTS = 2**20  # points (2, 1), each 1 * bit_length(2) bits
 # the first prime whose p^p is refused
 PROP1_PAST = next(q for q in itertools.count(2) if q * q.bit_length() > LIMIT and valuation.is_prime_64bit(q))
 # the first prime whose case table, p^2 rows of (p + 2) * bit_length(p) bits, is refused
 TABLE_PAST = next(q for q in itertools.count(3)
                   if q * q * (q + 2) * q.bit_length() > LIMIT and valuation.is_prime_64bit(q))
+
+
+def _within(seconds, want, call, *args):
+    """call(*args), checked to equal want and to return within `seconds` of wall-clock time."""
+    start = time.perf_counter()
+    answer = call(*args)
+    elapsed = time.perf_counter() - start
+    assert elapsed <= seconds, f"{call.__name__} took {elapsed:.1f} s, more than {seconds} s"
+    assert answer == want
+    return answer
+
 
 # route -> (call exactly at the limit, or None where that is not cheap;
 #           call one step past it; the number it names when refusing)
@@ -48,6 +66,11 @@ BOUNDARY = {
     "multinomial": (  # (top - largest part) * bit_length(top)
         lambda: valuation.multinomial(MULTINOMIAL_TOP, [MULTINOMIAL_TOP - MULTINOMIAL_PART, MULTINOMIAL_PART]),
         lambda: valuation.multinomial(MULTINOMIAL_TOP, [MULTINOMIAL_TOP - MULTINOMIAL_PART - 1, MULTINOMIAL_PART + 1]),
+        "the multinomial",
+    ),
+    "multinomial, many parts": (  # (ONES - 1) * 17 = 2,097,137 bits; 0.4-0.8 s on 3.10-3.13
+        lambda: _within(3.5, math.factorial(ONES), valuation.multinomial, ONES, [1] * ONES),
+        lambda: valuation.multinomial(ONES + 1, [1] * (ONES + 1)),
         "the multinomial",
     ),
     "prime_power_instance": (  # (k + n) * bit_length(p), before p^k is built
@@ -73,6 +96,11 @@ BOUNDARY = {
     "baseline_bound": (  # sum of residue degree * bit_length(component degree)
         lambda: bounds.baseline_bound([(3, LIMIT // 2)]),
         lambda: bounds.baseline_bound([(3, LIMIT // 2), (2, 1)]),
+        "the baseline product",
+    ),
+    "baseline_bound, many points": (  # POINTS * 2 = LIMIT bits; 1.3-3.0 s, most of it building the points
+        lambda: _within(13, 1 << POINTS, bounds.baseline_bound, [(2, 1)] * POINTS),
+        lambda: bounds.baseline_bound([(2, 1)] * (POINTS + 1)),
         "the baseline product",
     ),
     "general_bound": (  # multinomial estimate (0 for one part) + r * bit_length(period), r = top mod index

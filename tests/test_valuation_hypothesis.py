@@ -2,12 +2,13 @@
 
 Each closed form for v_p of a factorial is compared with the Legendre
 oracle at its own argument (p^n, k p^n, or p^k (p^n - 1)), kept within
-ORACLE_RANGE.  The multinomial is checked against full factorials,
-and vp against a number built with a known p-adic valuation.  The
-tiered primality check is compared with the full twelve-base
-Miller-Rabin loop on random n < 2^64 and on products of two primes near
-2^32, the hard composites.  The profile is derandomized, so every run
-draws the same examples.
+ORACLE_RANGE.  The multinomial is checked against full factorials, on
+up to 200 parts, so its balanced product pairs them over several rounds;
+that product is checked against math.prod, and vp against a number
+built with a known p-adic valuation.  The tiered primality check is
+compared with the full twelve-base Miller-Rabin loop on random n < 2^64
+and on products of two primes near 2^32, the hard composites.  The
+profile is derandomized, so every run draws the same examples.
 """
 
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from csatools.valuation import (
     is_prime_64bit,
     multinomial,
+    product,
     vp,
     vp_factorial_k_times_prime_power,
     vp_factorial_misc,
@@ -59,6 +61,15 @@ PRIMES_NEAR_2_32 = st.deferred(lambda: st.sampled_from(
     [n for n in range(2**32 - 2**16, 2**32) if twelve_base_is_prime(n)]))
 
 
+def byte_strings_up_to(most):
+    """Byte strings of any length up to `most`, read as lists of small picks.
+
+    st.lists alone rarely draws past a few dozen elements, and one draw of
+    bytes is far cheaper than a draw per element.
+    """
+    return st.integers(0, most).flatmap(lambda size: st.binary(min_size=size, max_size=size))
+
+
 def top_exponent(p, times=1):
     """Largest n >= 0 with times * p^n <= ORACLE_RANGE."""
     n = 0
@@ -91,11 +102,20 @@ def test_misc_matches_oracle(data, p):
 
 
 @FIXED
-@given(st.lists(st.integers(0, 40), max_size=6))
-def test_multinomial_times_part_factorials_is_top_factorial(parts):
+@given(byte_strings_up_to(200))
+def test_multinomial_times_part_factorials_is_top_factorial(picks):
+    parts = [pick % 41 for pick in picks]
     top = sum(parts)
-    product = math.prod(math.factorial(part) for part in parts)
-    assert multinomial(top, parts) * product == math.factorial(top)
+    factorials = math.prod(math.factorial(part) for part in parts)
+    assert multinomial(top, parts) * factorials == math.factorial(top)
+
+
+@FIXED
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80)), min_size=1, max_size=8),
+       byte_strings_up_to(300))
+def test_product_is_math_prod(values, picks):
+    factors = [values[pick % len(values)] for pick in picks]
+    assert product(factors) == math.prod(factors)
 
 
 @FIXED

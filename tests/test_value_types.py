@@ -2,7 +2,7 @@
 
 import pytest
 
-from csatools import AlgebraShape, BaselinePoint, BrauerVector, ChowClass, RingShape
+from csatools import AlgebraShape, BaselinePoint, BrauerVector, ChowClass, Prime, RingShape, vp
 
 # (the same value built two ways, a different value of the same type)
 CASES = [
@@ -52,3 +52,28 @@ def test_chow_class_hash_follows_its_shape_and_terms():
     a = ChowClass(shape, {(1, 0): 1, (0, 1): 1})
     b = ChowClass(RingShape([2, 2]), {(0, 1): 1, (1, 0): 1})
     assert a == b and hash(a) == hash(b)
+
+
+# what takes an integer -> (a call of it on x, an x it accepts)
+INTEGER_ARGUMENTS = {
+    "Prime": (Prime, 7),
+    "AlgebraShape degree": (lambda x: AlgebraShape((x, 3), 6, 3), 3),
+    "AlgebraShape index": (lambda x: AlgebraShape((3, 3), x, 2), 4),
+    "AlgebraShape period": (lambda x: AlgebraShape((3, 3), 4, x), 2),
+    "BaselinePoint degree": (lambda x: BaselinePoint(x, 1), 2),
+    "BaselinePoint residue": (lambda x: BaselinePoint(2, x), 3),
+    "RingShape": (lambda x: RingShape((x, 2)), 2),
+    "ChowClass exponent": (lambda x: ChowClass((2, 2), {(x, 0): 2}), 1),
+    "ChowClass coefficient": (lambda x: ChowClass((2, 2), {(1, 0): x}), 2),
+    "BrauerVector": (lambda x: BrauerVector(3, (x, 2)), 1),
+    "vp": (lambda x: vp(3, x), 9),
+}
+
+
+@pytest.mark.parametrize("kind", [float, str])
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+def test_a_float_or_a_numeric_string_is_a_type_error(name, kind):
+    call, x = INTEGER_ARGUMENTS[name]
+    call(x)
+    with pytest.raises(TypeError):
+        call(kind(x))
