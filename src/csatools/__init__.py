@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 
 # home module -> the names the package re-exports from it
 _EXPORTS = {
-    "bounds": ("AlgebraShape", "BaselinePoint", "BoundImprovement", "BoundReport",
-               "PrimePowerBound", "baseline_bound", "bound_improvement", "cofactor_m",
-               "general_bound", "prime_power_bound"),
+    "bounds": ("AlgebraShape", "BoundImprovement", "BoundReport", "PrimePowerBound",
+               "baseline_bound", "bound_improvement", "cofactor_m", "general_bound",
+               "prime_power_bound"),
     "brauer": ("BrauerVector", "combine", "index_reduction", "model_index",
                "prop1_case_table", "prop1_scenario", "prop2_scenario"),
     "chowring": ("ChowClass", "RingShape", "hyperplane_sum", "multiply", "point_degree",

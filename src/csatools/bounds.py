@@ -11,7 +11,8 @@ Three bounds live here:
   p^{n(p^k - 1)} * m with gcd(m, p) = 1, and m has an explicit
   factorial formula;
 * the a-priori baseline prod (deg A_q)^{[F(q):F]} that requires no index
-  hypothesis at all.
+  hypothesis at all, taken over (deg A_q, [F(q):F]) pairs, one per point
+  q of Spec L.
 """
 
 from __future__ import annotations
@@ -48,20 +49,6 @@ class AlgebraShape(Frozen):
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "period", period)
-
-
-class BaselinePoint(Frozen):
-    """One point of Spec L: a component degree and its residue degree."""
-
-    __slots__ = ("component_degree", "residue_degree")
-
-    def __init__(self, component_degree: int, residue_degree: int):
-        component_degree = operator.index(component_degree)
-        residue_degree = operator.index(residue_degree)
-        if component_degree < 1 or residue_degree < 1:
-            raise ValueError("baseline point entries must be >= 1")
-        object.__setattr__(self, "component_degree", component_degree)
-        object.__setattr__(self, "residue_degree", residue_degree)
 
 
 class BoundReport(NamedTuple):
@@ -108,7 +95,7 @@ def general_bound(shape: AlgebraShape) -> BoundReport:
 
 def _prime_power_instance(p: int, k: int, n: int) -> Prime:
     """Check (p, k, n), and the size of p^k and p^n, for the prime-power bounds."""
-    p = Prime(p)
+    p, k, n = Prime(p), operator.index(k), operator.index(n)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if n < 1:
@@ -152,17 +139,25 @@ def prime_power_bound(p: int, k: int, n: int) -> PrimePowerBound:
     return PrimePowerBound(p_part, m, p_part * m)
 
 
-def baseline_bound(points: list[BaselinePoint]) -> int:
-    """prod (component degree)^(residue degree): the no-hypothesis bound, as a balanced product."""
-    pts = [
-        pt if isinstance(pt, BaselinePoint) else BaselinePoint(*pt)
-        for pt in points
-    ]
-    if not pts:
+def baseline_bound(points) -> int:
+    """prod (component degree)^(residue degree), the no-hypothesis bound, as a balanced product.
+
+    points is any iterable of (component degree, residue degree) pairs of
+    integers >= 1.  One pass checks the entries and sums the size
+    estimate, residue * bit_length(degree), building no object per point.
+    """
+    points = list(points)
+    bits = 0
+    for degree, residue in points:
+        degree, residue = operator.index(degree), operator.index(residue)
+        if degree < 1 or residue < 1:
+            raise ValueError("baseline point entries must be >= 1")
+        bits += residue * degree.bit_length()
+    if not points:
         raise ValueError("baseline bound needs at least one point")
-    refuse_oversized("the baseline product", sum(
-        pt.residue_degree * pt.component_degree.bit_length() for pt in pts))
-    return product(pt.component_degree**pt.residue_degree for pt in pts)
+    refuse_oversized("the baseline product", bits)
+    # an int-like entry such as numpy.int64 would overflow in **, so it is read as an int
+    return product(operator.index(d) ** operator.index(r) for d, r in points)
 
 
 class BoundImprovement(NamedTuple):
@@ -178,4 +173,4 @@ def bound_improvement(p: int, k: int, n: int) -> BoundImprovement:
     """
     p = _prime_power_instance(p, k, n)
     pk = p**k
-    return BoundImprovement(baseline_bound([BaselinePoint(p**n, pk)]), p ** (n * (pk - 1)))
+    return BoundImprovement(baseline_bound([(p**n, pk)]), p ** (n * (pk - 1)))

@@ -91,6 +91,7 @@ def index_reduction(target: BrauerVector, fiber: BrauerVector, d: int) -> int:
     i = 0 residue class with multiplier 1.  Its p^d terms of n coordinates
     are refused past the step limit before any term is built.
     """
+    d = operator.index(d)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     refuse_overlong("the index-reduction gcd", target.p, d, len(target))
@@ -193,7 +194,7 @@ def prop2_scenario(p: int, d: int, n: int) -> dict:
     reduction is re-run here: verify's brauer-model suite runs d = 1 as
     a scenario of its own for every (p, n) it covers.
     """
-    p = Prime(p)
+    p, d, n = Prime(p), operator.index(d), operator.index(n)
     if not 0 < d < n < p:
         raise ValueError(f"need 0 < d < n < p, got d={d}, n={n}, p={p}")
     refuse_overlong("the index-reduction gcd", p, d, n)  # before the n-coordinate vectors

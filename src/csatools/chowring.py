@@ -143,6 +143,7 @@ def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
 
 def power(a: ChowClass, e: int) -> ChowClass:
     """a^e by binary exponentiation; a^0 is the unit class."""
+    e = index(e)
     if e < 0:
         raise ValueError(f"exponent must be nonnegative, got {e}")
     result = unit(a.shape)

@@ -192,9 +192,8 @@ def _bound_prime_power(a) -> Result:
 
 
 def _bound_baseline(a) -> Result:
-    points = [cs.bounds.BaselinePoint(deg, res) for deg, res in a.point]
     return Result(
-        {"total": cs.bounds.baseline_bound(points)},
+        {"total": cs.bounds.baseline_bound(a.point)},
         ["prod (component degree)^(residue degree)"],
         inputs={"points": ";".join(f"{deg}:{res}" for deg, res in a.point)},
     )

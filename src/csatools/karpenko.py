@@ -24,6 +24,7 @@ r >= p their answer is the formula's, outside the range the paper states.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .valuation import Prime, refuse_oversized, vp
@@ -42,7 +43,7 @@ def karpenko_lower_bound(p: int, n: int, codim: int) -> int:
     It never decreases, and n - v > n - codim.bit_length(), so the walk
     stops as soon as no later v can beat the best value so far.
     """
-    p = Prime(p)
+    p, n, codim = Prime(p), operator.index(n), operator.index(codim)
     if n < 1:
         raise ValueError(f"degree exponent must be positive, got {n}")
     if codim < 1:
@@ -87,6 +88,7 @@ def _certificate_instance(p: int, r: int) -> Prime:
             "the certificate requires an odd prime: for p = 2 the "
             "auxiliary inequality p^r >= r + 2 already fails at r = 1"
         )
+    r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     refuse_oversized("p^(r*p)", r * p * p.bit_length())
@@ -131,7 +133,7 @@ def auxiliary_inequalities(p: int, r: int) -> AuxiliaryInequalities:
     the certificate is restricted to odd primes.  p^r is refused past the
     size limit, estimated as r*bit_length(p) bits.
     """
-    p = Prime(p)
+    p, r = Prime(p), operator.index(r)
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     refuse_oversized("p^r", r * p.bit_length())

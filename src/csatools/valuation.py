@@ -195,7 +195,7 @@ def vp_factorial_oracle(p: int, n: int) -> int:
     Independent of every closed form in this module.  It loops log_p(n)
     times and its answer is smaller than n, so it needs no size limit.
     """
-    p = Prime(p)
+    p, n = Prime(p), operator.index(n)
     if n < 0:
         raise ValueError(f"factorial argument must be nonnegative, got {n}")
     total = 0
@@ -211,7 +211,7 @@ def vp_factorial_prime_power(p: int, n: int) -> int:
 
     The division is exact: p^n - 1 = (p - 1)(p^{n-1} + ... + 1).
     """
-    p = Prime(p)
+    p, n = Prime(p), operator.index(n)
     if n < 0:
         raise ValueError(f"exponent must be nonnegative, got {n}")
     refuse_oversized("p^n", n * p.bit_length())
@@ -220,7 +220,7 @@ def vp_factorial_prime_power(p: int, n: int) -> int:
 
 def vp_factorial_k_times_prime_power(p: int, k: int, n: int) -> int:
     """v_p((k p^n)!) = k * v_p(p^n!) for 1 <= k < p."""
-    p = Prime(p)
+    p, k, n = Prime(p), operator.index(k), operator.index(n)
     if not 1 <= k < p:
         raise ValueError(f"k must satisfy 1 <= k < p, got k={k} for p={p}")
     return k * vp_factorial_prime_power(p, n)
@@ -232,7 +232,7 @@ def vp_factorial_misc(p: int, k: int, n: int) -> int:
     Expanded through vp_factorial_prime_power, this is
     p^k (p^n - 1)/(p - 1) - n.
     """
-    p = Prime(p)
+    p, k, n = Prime(p), operator.index(k), operator.index(n)
     if k < 0 or n < 0:
         raise ValueError(f"exponents must be nonnegative, got k={k}, n={n}")
     return vp_factorial_prime_power(p, k + n) - vp_factorial_prime_power(p, k) - n
@@ -269,9 +269,10 @@ def multinomial(top: int, parts: list[int] | tuple[int, ...]) -> int:
     so the full factorials are never materialized.  Requires
     sum(parts) == top.
     """
+    top = operator.index(top)
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
-    parts = list(parts)
+    parts = list(map(operator.index, parts))
     for part in parts:
         if part < 0:
             raise ValueError(f"parts must be nonnegative, got {part}")

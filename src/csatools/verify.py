@@ -169,7 +169,7 @@ def suite_known_values() -> Iterator[Check]:
     yield (chowring.segre_degree_closed_form((5,)), 1, "segre single factor")
 
     for p, k, n in ((2, 1, 1), (3, 1, 1)):
-        got = bounds.baseline_bound([bounds.BaselinePoint(p**n, p**k)])
+        got = bounds.baseline_bound([(p**n, p**k)])
         yield (got, p ** (n * p**k), f"baseline p={p},k={k},n={n}")
     yield (bounds.baseline_bound([(2, 1), (2, 1)]), 4, "baseline two quaternions")
     yield (bounds.baseline_bound([(1, 5)]), 1, "baseline split algebra")

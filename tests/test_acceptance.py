@@ -32,7 +32,7 @@ def test_criterion_1_value_regressions():
         assert chowring.segre_degree_closed_form((2, 2 * m)) == 2 * m
 
     for p, k, n in ((2, 1, 1), (3, 1, 1)):
-        got = bounds.baseline_bound([bounds.BaselinePoint(p**n, p**k)])
+        got = bounds.baseline_bound([(p**n, p**k)])
         assert got == p ** (n * p**k)
 
     elapsed = _report(1, "known-value regressions", started, 1.0)

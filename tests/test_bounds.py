@@ -5,7 +5,6 @@ import pytest
 from csatools import bounds
 from csatools.bounds import (
     AlgebraShape,
-    BaselinePoint,
     BoundReport,
     PrimePowerBound,
     baseline_bound,
@@ -180,18 +179,30 @@ class TestPrimePowerBound:
 
 class TestBaseline:
     def test_examples(self):
-        assert baseline_bound([BaselinePoint(2, 1), BaselinePoint(2, 1)]) == 4
-        assert baseline_bound([BaselinePoint(3, 3)]) == 27
-        assert baseline_bound([BaselinePoint(1, 5)]) == 1
+        assert baseline_bound([(2, 1), (2, 1)]) == 4
+        assert baseline_bound([(3, 3)]) == 27
+        assert baseline_bound([(1, 5)]) == 1
 
     def test_accepts_plain_pairs(self):
         assert baseline_bound([(2, 3), (3, 1)]) == 24
+        assert baseline_bound(iter([[2, 3], (3, 1)])) == 24  # any iterable of pairs, read once
+
+    def test_an_int_like_entry_is_read_as_an_int(self):
+        class Three:  # only __index__, as numpy.int64 is read: its own ** overflows
+            def __index__(self):
+                return 3
+
+        assert baseline_bound([(Three(), 50), (2, Three())]) == 3**50 * 8
 
     def test_rejects_empty_and_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs at least one point"):
             baseline_bound([])
-        with pytest.raises(ValueError):
-            BaselinePoint(0, 1)
+        with pytest.raises(ValueError, match="entries must be >= 1"):
+            baseline_bound([(2, 1), (0, 1)])
+        with pytest.raises(ValueError, match="entries must be >= 1"):
+            baseline_bound([(2, -1)])
+        with pytest.raises(ValueError):  # not a pair: it fails as it is unpacked
+            baseline_bound([(2, 1, 1)])
 
 
 class TestBoundImprovement:

@@ -6,25 +6,26 @@ p^{n(p^k - 1)}.  The prime-power bound is checked for its factorization
 total = p_part * cofactor, for v_p(total) = n(p^k - 1) and for a
 cofactor prime to p.  The general bound is checked against full
 factorials times period^r, and the baseline against the direct product
-of its points.  Inputs stay small (p^(k+n) <= 7^4), so every factorial
-is cheap.  The profile is derandomized, so every run draws the same
-examples.
+of its points; a baseline entry below 1 is reported as such wherever it
+stands among points past the size limit.  Inputs stay small
+(p^(k+n) <= 7^4), so every factorial is cheap.  The profile is
+derandomized, so every run draws the same examples.
 """
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csatools.bounds import (
     AlgebraShape,
-    BaselinePoint,
     baseline_bound,
     cofactor_m,
     general_bound,
     prime_power_bound,
 )
-from csatools.valuation import multinomial, vp
+from csatools.valuation import SIZE_LIMIT_BITS, multinomial, vp
 
 PRIME_POWER_MAX = 7**4  # largest p^(k+n) drawn
 FIXED = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -76,5 +77,17 @@ def test_general_bound_matches_full_factorials(degrees, period, multiple):
 @given(st.lists(st.tuples(st.integers(1, 50), st.integers(1, 12)), min_size=1, max_size=8))
 def test_baseline_matches_the_direct_product(points):
     direct = math.prod(degree**residue for degree, residue in points)
-    assert baseline_bound([BaselinePoint(*point) for point in points]) == direct
     assert baseline_bound(points) == direct
+
+
+@FIXED
+@given(st.lists(st.tuples(st.integers(2, 50), st.integers(1, 12)), max_size=8), st.data(),
+       st.integers(-3, 0), st.booleans())
+def test_a_bad_entry_is_reported_before_the_size_refusal(points, data, bad, in_degree):
+    # one point alone is past the size limit, so the valid points' product is too
+    points.append((3, SIZE_LIMIT_BITS))
+    with pytest.raises(ValueError, match="the baseline product"):
+        baseline_bound(points)
+    points.insert(data.draw(st.integers(0, len(points))), (bad, 1) if in_degree else (2, bad))
+    with pytest.raises(ValueError, match="^baseline point entries must be >= 1$"):
+        baseline_bound(points)

@@ -621,7 +621,7 @@ class TestLoading:
 
 class TestPackageNames:
     def test_each_name_is_the_object_in_its_home_module(self):
-        assert len(csatools.__all__) == 41
+        assert len(csatools.__all__) == 40
         for name in csatools.__all__:
             value = getattr(csatools, name)
             assert value.__module__.startswith("csatools.")

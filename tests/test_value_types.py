@@ -2,14 +2,16 @@
 
 import pytest
 
-from csatools import AlgebraShape, BaselinePoint, BrauerVector, ChowClass, Prime, RingShape, vp
+from csatools import (AlgebraShape, BrauerVector, ChowClass, Prime, RingShape, auxiliary_inequalities,
+                      baseline_bound, cofactor_m, corestriction_certificate, index_reduction,
+                      karpenko_lower_bound, multinomial, power, prop2_scenario,
+                      vp, vp_factorial_k_times_prime_power, vp_factorial_misc, vp_factorial_oracle,
+                      vp_factorial_prime_power)
 
 # (the same value built two ways, a different value of the same type)
 CASES = [
     (lambda: AlgebraShape((3, 2), 6, 3), lambda: AlgebraShape([2, 3], 6, 3),
      AlgebraShape((2, 3), 6, 6)),
-    (lambda: BaselinePoint(2, 1), lambda: BaselinePoint(component_degree=2, residue_degree=1),
-     BaselinePoint(1, 2)),
     (lambda: RingShape((2, 3)), lambda: RingShape([2, 3]), RingShape((3, 2))),
     (lambda: BrauerVector(3, (1, 2)), lambda: BrauerVector(p=3, coords=[1, 2]),
      BrauerVector(5, (1, 2))),
@@ -25,8 +27,7 @@ def test_structural_equality_and_hashing(make, make_again, other):
     assert len({first, second, other}) == 2
 
 
-FIELD = {AlgebraShape: "index", BaselinePoint: "residue_degree", RingShape: "bounds",
-         BrauerVector: "p"}
+FIELD = {AlgebraShape: "index", RingShape: "bounds", BrauerVector: "p"}
 
 
 @pytest.mark.parametrize("make, make_again, other", CASES)
@@ -39,7 +40,6 @@ def test_immutable_with_a_readable_repr(make, make_again, other):
 
 
 def test_distinct_types_are_unequal():
-    assert BaselinePoint(2, 1) != (2, 1)
     assert RingShape((2, 2)) != ChowClass(RingShape((2, 2)), {})
 
 
@@ -60,13 +60,31 @@ INTEGER_ARGUMENTS = {
     "AlgebraShape degree": (lambda x: AlgebraShape((x, 3), 6, 3), 3),
     "AlgebraShape index": (lambda x: AlgebraShape((3, 3), x, 2), 4),
     "AlgebraShape period": (lambda x: AlgebraShape((3, 3), 4, x), 2),
-    "BaselinePoint degree": (lambda x: BaselinePoint(x, 1), 2),
-    "BaselinePoint residue": (lambda x: BaselinePoint(2, x), 3),
+    "baseline_bound degree": (lambda x: baseline_bound([(x, 1)]), 2),
+    "baseline_bound residue": (lambda x: baseline_bound([(2, x)]), 3),
     "RingShape": (lambda x: RingShape((x, 2)), 2),
     "ChowClass exponent": (lambda x: ChowClass((2, 2), {(x, 0): 2}), 1),
     "ChowClass coefficient": (lambda x: ChowClass((2, 2), {(1, 0): x}), 2),
     "BrauerVector": (lambda x: BrauerVector(3, (x, 2)), 1),
     "vp": (lambda x: vp(3, x), 9),
+    "vp_factorial_oracle n": (lambda x: vp_factorial_oracle(3, x), 9),
+    "vp_factorial_prime_power n": (lambda x: vp_factorial_prime_power(3, x), 2),
+    "vp_factorial_k_times_prime_power k": (lambda x: vp_factorial_k_times_prime_power(3, x, 2), 1),
+    "vp_factorial_k_times_prime_power n": (lambda x: vp_factorial_k_times_prime_power(3, 1, x), 2),
+    "vp_factorial_misc k": (lambda x: vp_factorial_misc(3, x, 1), 1),
+    "vp_factorial_misc n": (lambda x: vp_factorial_misc(3, 1, x), 1),
+    "multinomial top": (lambda x: multinomial(x, [2, 2]), 4),
+    "multinomial part": (lambda x: multinomial(4, [2, x]), 2),
+    "karpenko_lower_bound n": (lambda x: karpenko_lower_bound(3, x, 20), 2),
+    "karpenko_lower_bound codim": (lambda x: karpenko_lower_bound(3, 2, x), 20),
+    "corestriction_certificate r": (lambda x: corestriction_certificate(3, x), 1),
+    "auxiliary_inequalities r": (lambda x: auxiliary_inequalities(3, x), 1),
+    "cofactor_m k": (lambda x: cofactor_m(3, x, 1), 1),
+    "cofactor_m n": (lambda x: cofactor_m(3, 1, x), 1),
+    "index_reduction d": (lambda x: index_reduction(BrauerVector(3, (1, 2)), BrauerVector(3, (1, 1)), x), 1),
+    "prop2_scenario d": (lambda x: prop2_scenario(5, x, 3), 2),
+    "prop2_scenario n": (lambda x: prop2_scenario(5, 2, x), 3),
+    "power": (lambda x: power(ChowClass((2, 2), {(1, 0): 1}), x), 1),
 }
 
 
