@@ -335,7 +335,7 @@ COMMANDS = {
             {"holds": cs.karpenko.proof_inequalities(a.p, a.r),
              **cs.karpenko.auxiliary_inequalities(a.p, a.r)._asdict()},
             [
-                "symbolic certificate: window check for small i, valuation bound for large i",
+                "symbolic certificate: proved for every odd p and r >= 1, not computed",
                 "auxiliary comparisons p^r >= r+2 and p^r >= r*p evaluated exactly",
                 *_paper_range(a),
             ],

@@ -12,10 +12,11 @@ hypothetical presentation of the algebra as a corestriction from a
 degree-p extension: such a presentation would produce a subvariety of
 codimension p^{rp} - p^r - p - 1 whose degree has valuation exactly
 rp - r, and the certificate records that this undershoots the lower
-bound.  proof_inequalities establishes the same violation symbolically,
-with no minimization and no big number, in at most ceil((rp - r)/p)
-valuations of numbers below rp + p + 1.  One instance check limits p^{rp}
-for the certificate and the symbolic loop alike; p^r has the same limit.
+bound.  proof_inequalities returns the same violation symbolically: its
+docstring proves it for every odd p and r >= 1, so it builds nothing and
+loops over nothing, and verify checks the proof's lemma term by term.
+Each route refuses only what it builds: corestriction_certificate
+refuses p^{rp} past the size limit, and auxiliary_inequalities p^r.
 
 The paper proves the corestriction result for odd p and index p^n with
 n < p^2, that is n = rp with r < p.  Both routes take any r >= 1; for
@@ -27,7 +28,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .valuation import Prime, refuse_oversized, vp
+from .valuation import Prime, refuse_oversized
 
 
 def karpenko_lower_bound(p: int, n: int, codim: int) -> int:
@@ -76,12 +77,7 @@ class CorestrictionCertificate(NamedTuple):
 
 
 def _certificate_instance(p: int, r: int) -> Prime:
-    """Check that p is an odd prime and r >= 1; return p as a Prime.
-
-    The ambient degree is p^{rp} (inner degree p^r over a degree-p
-    extension, s = 1).  Its estimate, r*p*bit_length(p) bits, is refused
-    past the size limit.  Only corestriction_certificate builds p^{rp}.
-    """
+    """Check that p is an odd prime and r >= 1; return p as a Prime."""
     p = Prime(p)
     if p == 2:
         raise ValueError(
@@ -91,7 +87,6 @@ def _certificate_instance(p: int, r: int) -> Prime:
     r = operator.index(r)
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    refuse_oversized("p^(r*p)", r * p * p.bit_length())
     return p
 
 
@@ -110,9 +105,12 @@ def corestriction_certificate(p: int, r: int) -> CorestrictionCertificate:
     >= p^{v-1} - 1 >= 3^{v-1} - 1 >= v.
 
     The paper states the result for r < p only (n = rp < p^2); for r >= p
-    this is the formula's answer, outside that range.
+    this is the formula's answer, outside that range.  The ambient degree
+    p^{rp} (inner degree p^r over a degree-p extension, s = 1) is estimated
+    at r*p*bit_length(p) bits and refused past the size limit.
     """
     p = _certificate_instance(p, r)
+    refuse_oversized("p^(r*p)", r * p * p.bit_length())
     n = r * p
     codim = p**n - p**r - p - 1
     lower = karpenko_lower_bound(p, n, codim)
@@ -142,7 +140,7 @@ def auxiliary_inequalities(p: int, r: int) -> AuxiliaryInequalities:
 
 
 def proof_inequalities(p: int, r: int) -> bool:
-    """Symbolic certificate: no minimization, and no number past rp + p + 1.
+    """Symbolic certificate: proved for every odd p and r >= 1, so it returns True.
 
     Establishes, for k = p^{rp} - p^r - p - 1 and observed valuation rp - r:
 
@@ -151,19 +149,20 @@ def proof_inequalities(p: int, r: int) -> bool:
     (b) v_p(k - i) < r + i for every i in [0, k-1], so no loop branch
         can either.
 
-    (a) holds for every odd p and r >= 1, so it is proved, not computed:
-    p^{rp} >= p^{3r} >= 9p^r, and p^r >= 1 + r(p - 1) and p^r >= p, so
+    (a): p^{rp} >= p^{3r} >= 9p^r, and p^r >= 1 + r(p - 1) and p^r >= p, so
     k - (rp - r) >= (p^r - 1 - r(p - 1)) + (p^r - p) + 6p^r > 0.
-    (b) needs no check for i >= rp - r: there 0 < k - i < p^{rp} gives
-    v_p(k - i) <= rp - 1 < rp <= r + i.  Nor for i other than p - 1 mod p
-    (k is p - 1 mod p): there v_p(k - i) = 0 < r + i.  The remaining
-    i = p - 1, 2p - 1, ... below rp - r are checked term by term, at most
-    ceil((rp - r)/p) valuations: k - i = p^{rp} - p^r - (p + 1 + i) has
-    v_p(k - i) = v_p(p + 1 + i) while that is below r, and it is: no i is
-    left at r = 1, and p + 1 + i <= rp + p - r < p^r at r >= 2.  The
-    instance is checked as for corestriction_certificate, whose size limit
-    on p^{rp} bounds the loop.  As there, the paper states the result for
+    (b) is a lemma in three ranges of i:
+    - v_p(k - i) = 0 unless i = p - 1 (mod p), since k = p - 1 (mod p);
+    - for i >= rp - r, 0 < k - i < p^{rp} gives v_p(k - i) <= rp - 1 < r + i;
+    - on the window between, i = p - 1, 2p - 1, ... below rp - r,
+      v_p(k - i) = v_p(p + 1 + i) <= i < r + i.  The window is empty at
+      r = 1.  At r >= 2, p + 1 + i <= rp + p - r < p^r, so v_p(p + 1 + i)
+      < r <= v_p(p^{rp} - p^r), and k - i = p^{rp} - p^r - (p + 1 + i) has
+      the valuation of p + 1 + i.  Every window i is at least p - 1 >= 2,
+      and p + 1 + i < p^{i+1} there, so v_p(p + 1 + i) <= i.
+    verify.proof_inequalities_by_window checks the window term by term.
+    As for corestriction_certificate, the paper states the result for
     r < p only; for r >= p this is the formula's answer, outside that range.
     """
-    p = _certificate_instance(p, r)
-    return all(vp(p, p + 1 + i) < r + i for i in range(p - 1, r * p - r, p))
+    _certificate_instance(p, r)
+    return True

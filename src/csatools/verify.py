@@ -6,7 +6,7 @@ structural invariants of every module.  Suites are deterministic (any
 randomness is seeded) and sized for desk-scale runtimes, so `verify
 --all` doubles as a smoke test of the whole package.
 
-This module also hosts three oracles, kept here rather than in the
+This module also hosts four oracles, kept here rather than in the
 library proper so each stays independent of the route it checks:
 karpenko_lower_bound_grouped, a structurally different
 re-implementation of the cycle-bound minimum (the largest term of each
@@ -14,8 +14,11 @@ valuation class instead of the library's walk over the p-adic digits of
 the codimension); segre_degree_walk, a ring expansion of the Segre
 degree over packed monomials that uses neither the multinomial nor
 chowring's ChowClass or multiply (chowring.RingShape only validates its
-factor bounds); and index_reduction_by_min_form, the index-reduction gcd
-as a minimum over p - 1 shifts, on raw residues.
+factor bounds); index_reduction_by_min_form, the index-reduction gcd
+as a minimum over p - 1 shifts, on raw residues; and
+proof_inequalities_by_window, the symbolic certificate's window of
+valuations checked term by term, where the library route returns the
+proved answer.
 """
 
 from __future__ import annotations
@@ -122,6 +125,18 @@ def index_reduction_by_min_form(p: int, target, fiber, d: int) -> int:
 
     shifted = min(index([b + c * a for a, b in zip(fiber, target)]) for c in range(1, p))
     return min(index(target), p**d * shifted)
+
+
+def proof_inequalities_by_window(p: int, r: int) -> bool:
+    """v_p(k - i) < r + i on the window, k = p^{rp} - p^r - p - 1, one valuation a term.
+
+    The window is i = p - 1, 2p - 1, ... below rp - r: outside it
+    v_p(k - i) < r + i holds for every i (see karpenko.proof_inequalities).
+    On it k - i has the valuation of the small number p + 1 + i, so this
+    takes at most ceil((rp - r)/p) valuations of numbers below rp + p + 1
+    and builds no p^{rp}.
+    """
+    return all(valuation.vp(p, p + 1 + i) < r + i for i in range(p - 1, r * p - r, p))
 
 
 def _read(read, run, *args):
@@ -315,7 +330,7 @@ def suite_bound_valuation() -> Iterator[Check]:
 
 
 def suite_karpenko_certificates() -> Iterator[Check]:
-    """Closed-form certificates vs the symbolic route, plus the grouped oracle."""
+    """Closed-form certificates, the proved route vs its window oracle, and the grouped oracle."""
     sweep_cap = 10**7
     for p in (3, 5, 7):
         rr = 1
@@ -324,16 +339,17 @@ def suite_karpenko_certificates() -> Iterator[Check]:
             yield (bool(cert.violated), True, f"certificate violated p={p},r={rr}")
             yield (
                 karpenko.proof_inequalities(p, rr),
-                cert.violated,
-                f"symbolic vs closed form p={p},r={rr}",
+                proof_inequalities_by_window(p, rr),
+                f"proved vs window p={p},r={rr}",
             )
             yield (cert.codim, p ** (rr * p) - p**rr - p - 1, f"codimension formula p={p},r={rr}")
             yield (cert.observed_valuation, rr * p - rr, f"observed valuation p={p},r={rr}")
             rr += 1
 
-    # the symbolic route on its own, past the sweep above
+    # the symbolic route against its window, past the sweep above
     for p, rr in ((3, 5), (5, 3), (7, 5), (11, 2), (13, 1)):
-        yield (bool(karpenko.proof_inequalities(p, rr)), True, f"symbolic only p={p},r={rr}")
+        label = f"proved vs window only p={p},r={rr}"
+        yield (karpenko.proof_inequalities(p, rr), proof_inequalities_by_window(p, rr), label)
 
     rng = random.Random(422)
     grid = [(p, n, k) for p in (2, 3, 5, 7) for n in (1, 2, 3) for k in (1, 2, 3, 7, 26, 120)]

@@ -9,7 +9,7 @@ import itertools
 import math
 import time
 
-from csatools import bounds, brauer, chowring, cli, karpenko, valuation
+from csatools import bounds, brauer, chowring, cli, karpenko, valuation, verify
 
 
 def _report(number: int, description: str, started: float, budget: float) -> float:
@@ -100,7 +100,8 @@ def test_criterion_3_corestriction_certificates():
         assert cert.violated is True
         assert symbolic is True
         assert cert.violated == symbolic
-    elapsed = _report(3, "corestriction certificates, loop and symbolic", started, 60.0)
+        assert verify.proof_inequalities_by_window(p, r) is True
+    elapsed = _report(3, "corestriction certificates, proved and by window", started, 60.0)
     assert elapsed < 60.0
 
 

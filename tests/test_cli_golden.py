@@ -12,9 +12,11 @@ table gained the `vp(term)` column that `--vp` had silently dropped,
 `verify --suite bogus` when unknown suite names moved from argparse
 choices to the handler's usage error, and the two `verify --all` cases
 when `brauer-model` swapped its invariant sweeps for the min-form
-oracle (288 checks to 108).  The help cases were captured later, from
-the CLI as it stood before its result records were trimmed to what each
-route computes.
+oracle (288 checks to 108), and the four `proof-inequalities --p 7 --r 5`
+cases (text and record, with and without `--vp`) when the symbolic
+certificate's provenance line came to say that its answer is proved, not
+computed.  The help cases were captured later, from the CLI as it stood
+before its result records were trimmed to what each route computes.
 """
 
 import json

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from csatools import karpenko, valuation
+from csatools import valuation
 from csatools.karpenko import (
     auxiliary_inequalities,
     corestriction_certificate,
@@ -10,7 +10,7 @@ from csatools.karpenko import (
     proof_inequalities,
 )
 from csatools.valuation import vp
-from csatools.verify import karpenko_lower_bound_grouped
+from csatools.verify import karpenko_lower_bound_grouped, proof_inequalities_by_window
 
 
 def minimum_by_definition(p, n, k):
@@ -22,7 +22,7 @@ def minimum_by_definition(p, n, k):
 
 
 def proof_inequalities_full_window(p, r):
-    """The symbolic route with its earlier, wider window of p^r + p + 1 terms."""
+    """The window oracle's condition on its earlier, wider window of p^r + p + 1 terms."""
     k = p ** (r * p) - p**r - p - 1
     observed = r * p - r
     large_i_ok = r * p < r + p**r + p + 1
@@ -124,14 +124,14 @@ class TestCertificate:
         assert cert.violated == proof_inequalities(7, 2)
 
     def test_bit_limit_boundary(self):
-        # p^(r*p) is estimated at r * p * bit_length(p) bits
+        # p^(r*p) is estimated at r * p * bit_length(p) bits; only the certificate builds it
         for p in (3, 101):
             r = valuation.SIZE_LIMIT_BITS // (p * p.bit_length())
             assert corestriction_certificate(p, r).violated
-            assert proof_inequalities(p, r) is True  # p = 3: 233,017 valuations
-            for route in (corestriction_certificate, proof_inequalities):
-                with pytest.raises(ValueError, match="limit"):
-                    route(p, r + 1)
+            with pytest.raises(ValueError, match=r"p\^\(r\*p\).*limit"):
+                corestriction_certificate(p, r + 1)
+            assert proof_inequalities(p, r + 1) is True
+            assert proof_inequalities(p, 10**9) is True
 
 
 class TestSymbolicRoute:
@@ -143,17 +143,13 @@ class TestSymbolicRoute:
         for p, r in [(3, 6), (3, 18), (5, 4), (7, 2), (7, 5), (11, 2), (13, 1), (101, 3)]:
             assert proof_inequalities(p, r) is True
 
-    def test_checks_at_most_rp_minus_r_terms(self, monkeypatch):
-        calls = []
+    def test_answers_without_a_valuation(self, monkeypatch):
+        def no_vp(p, n):
+            raise AssertionError("the proved route takes no valuation")
 
-        def counting_vp(p, n):
-            calls.append(n)
-            return vp(p, n)
-
-        monkeypatch.setattr(karpenko, "vp", counting_vp)
-        assert proof_inequalities(7, 5) is True
-        # only i = k mod p in [0, rp - r) can have v_p(k - i) > 0: ceil((rp - r)/p) terms
-        assert len(calls) <= -(-(7 * 5 - 5) // 7)
+        monkeypatch.setattr(valuation, "vp", no_vp)
+        for p, r in [(3, 1), (7, 5), (101, 3), (3, 10**9)]:
+            assert proof_inequalities(p, r) is True
 
     def test_checks_p_once(self, monkeypatch):
         calls = []
@@ -170,21 +166,21 @@ class TestSymbolicRoute:
         for p in (3, 5, 7, 11, 13):
             for r in range(1, 8):
                 if p**r <= 3 * 10**4:
-                    assert proof_inequalities(p, r) == proof_inequalities_full_window(p, r)
+                    assert proof_inequalities_by_window(p, r) == proof_inequalities_full_window(p, r)
 
     def test_refuses_p2(self):
         with pytest.raises(ValueError, match="odd"):
             proof_inequalities(2, 1)
 
-    def test_small_number_valuation_sweep(self, monkeypatch):
+    def test_window_oracle_reads_the_small_numbers(self, monkeypatch):
         # each window term k - i = p^(rp) - p^r - (p + 1 + i) is read off
         # the small number p + 1 + i, whose valuation is that of k - i
         seen = []
-        monkeypatch.setattr(karpenko, "vp", lambda p, n: seen.append(n) or vp(p, n))
+        monkeypatch.setattr(valuation, "vp", lambda p, n: seen.append(n) or vp(p, n))
         for p in (3, 5, 7, 11, 13):
             for r in range(1, 7):
                 seen.clear()
-                assert proof_inequalities(p, r) is True
+                assert proof_inequalities_by_window(p, r) is True
                 k = p ** (r * p) - p**r - p - 1
                 window = range(k % p, min(r * p - r, k), p)
                 assert seen == [p + 1 + i for i in window]

@@ -5,10 +5,12 @@ minimum for small codimensions and against the grouped route in verify
 for codimensions up to 10^40.  The shapes p^e * m and p^e - m put long
 runs of zero or p - 1 digits at the low end of codim, where the early
 exit of the digit walk fires late or never.  The symbolic certificate,
-which builds no p^{rp}, is checked against the closed-form certificate,
-which does, and the certificate's lower bound is pinned to rp, as its
-docstring proves.  The profile is derandomized, so every run draws the
-same examples.
+whose answer is proved rather than computed, is checked against the
+closed-form certificate, which builds p^{rp}, and the certificate's
+lower bound is pinned to rp, as its docstring proves.  The lemma behind
+the symbolic proof, v_p(p + 1 + i) <= i on every window term, is swept
+over all odd primes below 400.  The profile is derandomized, so every
+run draws the same examples.
 """
 
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from csatools.karpenko import (
     karpenko_lower_bound,
     proof_inequalities,
 )
+from csatools.valuation import is_prime_64bit, vp
 from csatools.verify import karpenko_lower_bound_grouped
 from test_karpenko import minimum_by_definition
 
@@ -66,3 +69,11 @@ def test_symbolic_route_matches_certificate(data, p):
 def test_certificate_lower_bound_is_rp(data, p):
     r = data.draw(st.integers(1, CERTIFICATE_BITS // (p * p.bit_length())))
     assert corestriction_certificate(p, r).lower_bound == r * p
+
+
+def test_window_lemma_sweep():
+    # proof_inequalities' window: v_p(p + 1 + i) <= i < r + i for i = p - 1, 2p - 1, ... below rp - r
+    primes = [p for p in range(3, 400, 2) if is_prime_64bit(p)]
+    terms = [(p, r, i) for p in primes for r in range(1, 60) for i in range(p - 1, r * p - r, p)]
+    assert len(terms) == 130101
+    assert all(vp(p, p + 1 + i) <= i for p, r, i in terms)
