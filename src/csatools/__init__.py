@@ -32,7 +32,7 @@ _EXPORTS = {
                "prime_power_bound"),
     "brauer": ("BrauerVector", "combine", "index_reduction", "model_index",
                "prop1_case_table", "prop1_scenario", "prop2_scenario"),
-    "chowring": ("ChowClass", "RingShape", "hyperplane_sum", "multiply", "point_degree",
+    "chowring": ("ChowClass", "hyperplane_sum", "multiply", "point_degree",
                  "power", "segre_degree_closed_form", "segre_degree_expansion", "unit"),
     "errors": ("ConsistencyError",),
     "karpenko": ("AuxiliaryInequalities", "CorestrictionCertificate", "auxiliary_inequalities",

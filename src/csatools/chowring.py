@@ -6,6 +6,10 @@ the i-th factor.  Classes are kept sparse and canonical: a monomial with
 some exponent e_i >= d_i is identically zero and is dropped eagerly, as
 are zero coefficients, so equality of classes is structural equality.
 
+A ring is named by its exponent bounds (d_1, ..., d_m), any iterable of
+integers with m >= 1 and every d_i >= 1.  Each entry point below checks
+them once, through _bounds, and a class keeps them as a plain tuple.
+
 The degree of the Segre image is computed here by expanding the top
 power of the hyperplane sum in the ring, and by a single multinomial
 coefficient.  `verify` checks the closed form against a third, linear
@@ -20,41 +24,21 @@ from operator import add, ge, index
 from .valuation import Frozen, multinomial
 
 
-class RingShape(Frozen):
-    """Exponent bounds (d_1, ..., d_m), all >= 1, enforcing l_i^{d_i} = 0."""
-
-    __slots__ = ("bounds",)
-
-    def __init__(self, bounds: tuple[int, ...]):
-        bounds = tuple(map(index, bounds))
-        if len(bounds) < 1:
-            raise ValueError("a ring shape needs at least one factor")
-        if any(d < 1 for d in bounds):
-            raise ValueError(f"all exponent bounds must be >= 1, got {bounds}")
-        object.__setattr__(self, "bounds", bounds)
-
-    @property
-    def factors(self) -> int:
-        return len(self.bounds)
-
-    @property
-    def dimension(self) -> int:
-        """sum(d_i - 1): the top total degree carrying a nonzero monomial."""
-        return sum(self.bounds) - len(self.bounds)
-
-    @property
-    def top_monomial(self) -> tuple[int, ...]:
-        return tuple(d - 1 for d in self.bounds)
-
-
-def _as_shape(shape) -> RingShape:
-    return shape if isinstance(shape, RingShape) else RingShape(tuple(shape))
+def _bounds(shape) -> tuple[int, ...]:
+    """The exponent bounds (d_1, ..., d_m) as a tuple, checked: m >= 1, all d_i >= 1."""
+    bounds = tuple(map(index, shape))
+    if len(bounds) < 1:
+        raise ValueError("a ring shape needs at least one factor")
+    if any(d < 1 for d in bounds):
+        raise ValueError(f"all exponent bounds must be >= 1, got {bounds}")
+    return bounds
 
 
 class ChowClass(Frozen):
     """A sparse element of Z[l1,...,lm]/(l_i^{d_i}).
 
-    terms maps exponent vectors (tuples of length m) to nonzero integer
+    shape is the tuple of exponent bounds (d_1, ..., d_m), and terms maps
+    exponent vectors (tuples of length m) to nonzero integer
     coefficients.  Normalization happens at construction, the one home of
     l_i^{d_i} = 0 for outside input and multiply alike; instances are
     treated as immutable afterwards, so they are safe to share between
@@ -63,9 +47,8 @@ class ChowClass(Frozen):
 
     __slots__ = ("shape", "terms")
 
-    def __init__(self, shape: RingShape, terms: dict):
-        shape = _as_shape(shape)
-        bounds = shape.bounds
+    def __init__(self, shape, terms: dict):
+        bounds = _bounds(shape)
         clean: dict[tuple[int, ...], int] = {}
         for exponents, coeff in terms.items():
             exponents = tuple(map(index, exponents))
@@ -82,7 +65,7 @@ class ChowClass(Frozen):
                 clean[exponents] = coeff
             else:
                 clean.pop(exponents, None)
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "shape", bounds)
         object.__setattr__(self, "terms", clean)
 
     def __hash__(self):
@@ -110,29 +93,30 @@ class ChowClass(Frozen):
         return " + ".join(chunks)
 
     def __repr__(self):
-        return f"ChowClass({self.shape.bounds}, {self.to_text()})"
+        return f"ChowClass({self.shape}, {self.to_text()})"
 
 
 def unit(shape) -> ChowClass:
     """The multiplicative identity 1."""
-    shape = _as_shape(shape)
-    return ChowClass(shape, {(0,) * shape.factors: 1})
+    bounds = _bounds(shape)
+    return ChowClass(bounds, {(0,) * len(bounds): 1})
 
 
 def hyperplane_sum(shape) -> ChowClass:
     """l_1 + ... + l_m, the pullback of the ambient hyperplane class."""
-    shape = _as_shape(shape)
+    bounds = _bounds(shape)
+    m = len(bounds)
     terms = {}
-    for i in range(shape.factors):
-        exponents = tuple(1 if j == i else 0 for j in range(shape.factors))
+    for i in range(m):
+        exponents = tuple(1 if j == i else 0 for j in range(m))
         terms[exponents] = 1
-    return ChowClass(shape, terms)
+    return ChowClass(bounds, terms)
 
 
 def multiply(a: ChowClass, b: ChowClass) -> ChowClass:
     """Ring product: distribute, add exponents; ChowClass truncates at the bounds."""
     if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape.bounds} vs {b.shape.bounds}")
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     out: dict[tuple[int, ...], int] = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
@@ -159,7 +143,7 @@ def power(a: ChowClass, e: int) -> ChowClass:
 
 def point_degree(a: ChowClass) -> int:
     """Coefficient of the top monomial prod l_i^{d_i - 1} (a point class)."""
-    return a.terms.get(a.shape.top_monomial, 0)
+    return a.terms.get(tuple(d - 1 for d in a.shape), 0)
 
 
 def segre_degree_expansion(shape) -> int:
@@ -168,11 +152,11 @@ def segre_degree_expansion(shape) -> int:
     Expands (l_1 + ... + l_m)^(sum d_i - m) and reads off the coefficient
     of the point class.
     """
-    shape = _as_shape(shape)
-    return point_degree(power(hyperplane_sum(shape), shape.dimension))
+    bounds = _bounds(shape)
+    return point_degree(power(hyperplane_sum(bounds), sum(bounds) - len(bounds)))
 
 
 def segre_degree_closed_form(shape) -> int:
     """Segre-image degree as the multinomial (sum d_i - m; d_1-1, ..., d_m-1)."""
-    shape = _as_shape(shape)
-    return multinomial(shape.dimension, [d - 1 for d in shape.bounds])
+    bounds = _bounds(shape)
+    return multinomial(sum(bounds) - len(bounds), [d - 1 for d in bounds])

@@ -148,15 +148,15 @@ def _vp_factorial(a) -> Result:
 
 
 def _segre_degree(a) -> Result:
-    shape = cs.chowring.RingShape(a.shape)
-    closed = cs.chowring.segre_degree_closed_form(shape)  # refuses a degree past the size limit
-    expansion = cs.chowring.segre_degree_expansion(shape)
+    closed = cs.chowring.segre_degree_closed_form(a.shape)  # refuses a degree past the size limit
+    expansion = cs.chowring.segre_degree_expansion(a.shape)
     if expansion != closed:
         raise ConsistencyError(
-            f"expansion {expansion} != closed form {closed} on shape {shape.bounds}"
+            f"expansion {expansion} != closed form {closed} on shape {a.shape}"
         )
     # the top monomial is the only one of degree sum(d_i - 1) inside the box
-    top_power = cs.chowring.ChowClass(shape, {shape.top_monomial: expansion})
+    top = tuple(d - 1 for d in a.shape)
+    top_power = cs.chowring.ChowClass(a.shape, {top: expansion})
     outputs = {"expansion": expansion, "closed_form": closed, "agree": True,
                "top_power_class": top_power.to_text()}
     return Result(outputs, [

@@ -13,8 +13,8 @@ re-implementation of the cycle-bound minimum (the largest term of each
 valuation class instead of the library's walk over the p-adic digits of
 the codimension); segre_degree_walk, a ring expansion of the Segre
 degree over packed monomials that uses neither the multinomial nor
-chowring's ChowClass or multiply (chowring.RingShape only validates its
-factor bounds); index_reduction_by_min_form, the index-reduction gcd
+chowring's ChowClass or multiply (it borrows only chowring's check of
+its factor bounds); index_reduction_by_min_form, the index-reduction gcd
 as a minimum over p - 1 shifts, on raw residues; and
 proof_inequalities_by_window, the symbolic certificate's window of
 valuations checked term by term, where the library route returns the
@@ -89,7 +89,7 @@ def segre_degree_walk(bounds) -> tuple[int, bool]:
     class is the code prod(d_i) - 1.  Each step touches every monomial of
     its degree once per factor, O(m * prod(d_i)) dict updates in all.
     """
-    bounds = chowring.RingShape(bounds).bounds
+    bounds = chowring._bounds(bounds)
     steps = []
     stride = 1
     for d in bounds:
@@ -160,10 +160,10 @@ def _partitions(total: int, maximum: int | None = None):
             yield (head,) + tail
 
 
-def _random_chow_class(rng: random.Random, shape: chowring.RingShape) -> chowring.ChowClass:
+def _random_chow_class(rng: random.Random, shape: tuple[int, ...]) -> chowring.ChowClass:
     terms = {}
     for _ in range(rng.randrange(1, 5)):
-        exps = tuple(rng.randrange(0, d) for d in shape.bounds)
+        exps = tuple(rng.randrange(0, d) for d in shape)
         terms[exps] = rng.randrange(-3, 4)
     return chowring.ChowClass(shape, terms)
 
@@ -282,10 +282,7 @@ def suite_segre_degree() -> Iterator[Check]:
 def suite_chow_laws() -> Iterator[Check]:
     """Commutativity, associativity and unit laws on seeded random classes."""
     rng = random.Random(91)
-    shapes = [
-        chowring.RingShape(b) for b in ((2, 2), (3, 2), (2, 2, 2), (4, 3))
-    ]
-    for shape in shapes:
+    for shape in ((2, 2), (3, 2), (2, 2, 2), (4, 3)):
         one = chowring.unit(shape)
         for _ in range(12):
             a = _random_chow_class(rng, shape)
@@ -294,14 +291,14 @@ def suite_chow_laws() -> Iterator[Check]:
             yield (
                 chowring.multiply(a, b),
                 chowring.multiply(b, a),
-                f"commutativity on {shape.bounds}",
+                f"commutativity on {shape}",
             )
             yield (
                 chowring.multiply(chowring.multiply(a, b), c),
                 chowring.multiply(a, chowring.multiply(b, c)),
-                f"associativity on {shape.bounds}",
+                f"associativity on {shape}",
             )
-            yield (chowring.multiply(a, one), a, f"unit on {shape.bounds}")
+            yield (chowring.multiply(a, one), a, f"unit on {shape}")
 
 
 def suite_bound_valuation() -> Iterator[Check]:
@@ -405,10 +402,6 @@ _SUITES = {
     "karpenko-certificates": suite_karpenko_certificates,
     "brauer-model": suite_brauer_model,
 }
-
-
-def suite_names() -> tuple[str, ...]:
-    return tuple(_SUITES)
 
 
 def run_suites(names: list[str] | None = None) -> list[SuiteResult]:

@@ -88,8 +88,8 @@ class TestBasicCommands:
     @pytest.mark.parametrize("shape", ["1", "1,3", "2,1,4", "3,1,1,2"])
     def test_segre_top_power_class_with_trivial_factors(self, capsys, shape):
         pairs = run_pairs(capsys, ["segre-degree", "--shape", shape])
-        ring = chowring.RingShape(tuple(map(int, shape.split(","))))
-        top = chowring.power(chowring.hyperplane_sum(ring), ring.dimension)
+        ring = tuple(map(int, shape.split(",")))
+        top = chowring.power(chowring.hyperplane_sum(ring), sum(ring) - len(ring))
         assert pairs["top_power_class"] == top.to_text()
 
     def test_bound_general(self, capsys):
@@ -506,14 +506,14 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: unknown suite 'bogus'")
-        assert all(name in captured.err for name in verify.suite_names())
+        assert all(name in captured.err for name in verify._SUITES)
 
     def test_library_checks_every_name_before_running(self, monkeypatch):
         ran = []
         monkeypatch.setitem(verify._SUITES, "known-values", lambda: ran.append(1))
         with pytest.raises(ValueError, match="unknown suite 'bogus'") as excinfo:
             verify.run_suites(["known-values", "bogus"])
-        assert all(name in str(excinfo.value) for name in verify.suite_names())
+        assert all(name in str(excinfo.value) for name in verify._SUITES)
         assert ran == []
 
     def test_json_record(self, capsys):
@@ -621,7 +621,7 @@ class TestLoading:
 
 class TestPackageNames:
     def test_each_name_is_the_object_in_its_home_module(self):
-        assert len(csatools.__all__) == 40
+        assert len(csatools.__all__) == 39
         for name in csatools.__all__:
             value = getattr(csatools, name)
             assert value.__module__.startswith("csatools.")
@@ -650,3 +650,9 @@ class TestPackageNames:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             csatools.no_such_name  # noqa: B018
+
+    def test_readme_library_use_block_runs(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library use\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md: Library use", "exec"), {})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from csatools import (AlgebraShape, BrauerVector, ChowClass, Prime, RingShape, auxiliary_inequalities,
+from csatools import (AlgebraShape, BrauerVector, ChowClass, Prime, auxiliary_inequalities,
                       baseline_bound, cofactor_m, corestriction_certificate, index_reduction,
                       karpenko_lower_bound, multinomial, power, prop2_scenario,
                       vp, vp_factorial_k_times_prime_power, vp_factorial_misc, vp_factorial_oracle,
@@ -12,7 +12,6 @@ from csatools import (AlgebraShape, BrauerVector, ChowClass, Prime, RingShape, a
 CASES = [
     (lambda: AlgebraShape((3, 2), 6, 3), lambda: AlgebraShape([2, 3], 6, 3),
      AlgebraShape((2, 3), 6, 6)),
-    (lambda: RingShape((2, 3)), lambda: RingShape([2, 3]), RingShape((3, 2))),
     (lambda: BrauerVector(3, (1, 2)), lambda: BrauerVector(p=3, coords=[1, 2]),
      BrauerVector(5, (1, 2))),
 ]
@@ -27,7 +26,7 @@ def test_structural_equality_and_hashing(make, make_again, other):
     assert len({first, second, other}) == 2
 
 
-FIELD = {AlgebraShape: "index", RingShape: "bounds", BrauerVector: "p"}
+FIELD = {AlgebraShape: "index", BrauerVector: "p"}
 
 
 @pytest.mark.parametrize("make, make_again, other", CASES)
@@ -40,7 +39,7 @@ def test_immutable_with_a_readable_repr(make, make_again, other):
 
 
 def test_distinct_types_are_unequal():
-    assert RingShape((2, 2)) != ChowClass(RingShape((2, 2)), {})
+    assert AlgebraShape((3, 2), 6, 3) != ChowClass((3, 2), {})
 
 
 def test_brauer_vector_length_is_its_coordinate_count():
@@ -48,9 +47,8 @@ def test_brauer_vector_length_is_its_coordinate_count():
 
 
 def test_chow_class_hash_follows_its_shape_and_terms():
-    shape = RingShape((2, 2))
-    a = ChowClass(shape, {(1, 0): 1, (0, 1): 1})
-    b = ChowClass(RingShape([2, 2]), {(0, 1): 1, (1, 0): 1})
+    a = ChowClass((2, 2), {(1, 0): 1, (0, 1): 1})
+    b = ChowClass([2, 2], {(0, 1): 1, (1, 0): 1})
     assert a == b and hash(a) == hash(b)
 
 
@@ -62,7 +60,6 @@ INTEGER_ARGUMENTS = {
     "AlgebraShape period": (lambda x: AlgebraShape((3, 3), 4, x), 2),
     "baseline_bound degree": (lambda x: baseline_bound([(x, 1)]), 2),
     "baseline_bound residue": (lambda x: baseline_bound([(2, x)]), 3),
-    "RingShape": (lambda x: RingShape((x, 2)), 2),
     "ChowClass exponent": (lambda x: ChowClass((2, 2), {(x, 0): 2}), 1),
     "ChowClass coefficient": (lambda x: ChowClass((2, 2), {(1, 0): x}), 2),
     "BrauerVector": (lambda x: BrauerVector(3, (x, 2)), 1),
