@@ -6,10 +6,9 @@ Three bounds live here:
   whose corestriction has index I and period P: the multinomial
   (sum d_i - m; d_1 - 1, ..., d_m - 1) times P^r with
   r = (sum d_i - m) mod I;
-* its prime-power specialization for degree p^n over an extension of
-  degree p^k with corestriction index dividing p^k: total splits as
-  p^{n(p^k - 1)} * m with gcd(m, p) = 1, and m has an explicit
-  factorial formula;
+* its prime-power specialization, p^k components of degree p^n with
+  corestriction index dividing p^k: the multinomial total (p^k (p^n - 1);
+  p^n - 1, ..., p^n - 1) splits as p^{n(p^k - 1)} * m with gcd(m, p) = 1;
 * the a-priori baseline prod (deg A_q)^{[F(q):F]} that requires no index
   hypothesis at all, taken over (deg A_q, [F(q):F]) pairs, one per point
   q of Spec L.
@@ -17,7 +16,6 @@ Three bounds live here:
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import NamedTuple
 
@@ -65,7 +63,7 @@ class BoundReport(NamedTuple):
 
 
 class PrimePowerBound(NamedTuple):
-    """The prime-power bound: total = p_part * cofactor with gcd(cofactor, p) = 1."""
+    """The prime-power bound: the multinomial total = p_part * cofactor, gcd(cofactor, p) = 1."""
 
     p_part: int
     cofactor: int
@@ -105,20 +103,18 @@ def _prime_power_instance(p: int, k: int, n: int) -> Prime:
 
 
 def cofactor_m(p: int, k: int, n: int) -> int:
-    """The prime-to-p cofactor (p^k (p^n - 1))! / ((p^n - 1)!)^{p^k} / p^{n(p^k - 1)}.
+    """The prime-to-p cofactor (p^k (p^n - 1); p^n - 1, ..., p^n - 1) / p^{n(p^k - 1)}.
 
-    The division is exact; a nonzero remainder would mean the formula
-    itself is wrong, so that raises ConsistencyError rather than
-    ValueError.
+    The multinomial is the prime-power total, sized before its p^k parts
+    are listed.  The division is exact; a nonzero remainder would mean the
+    formula itself is wrong, so that raises ConsistencyError, not ValueError.
     """
     p = _prime_power_instance(p, k, n)
     pk = p**k
     pn = p**n
     top = pk * (pn - 1)
-    refuse_oversized("(p^k (p^n - 1))!", top * top.bit_length())
-    numerator = math.factorial(top)
-    denominator = math.factorial(pn - 1) ** pk * p ** (n * (pk - 1))
-    quotient, residue = divmod(numerator, denominator)
+    refuse_oversized("the prime-power bound", multinomial_bits(top, (pn - 1,)))
+    quotient, residue = divmod(multinomial(top, [pn - 1] * pk), p ** (n * (pk - 1)))
     if residue:
         raise ConsistencyError(
             f"cofactor division not exact for p={p}, k={k}, n={n}"

@@ -243,7 +243,7 @@ def multinomial_bits(top: int, parts: list[int] | tuple[int, ...]) -> int:
 
     The coefficient is at most top^(top - largest part), so a single part costs nothing.
     """
-    return (top - max(parts, default=0)) * top.bit_length()
+    return (top - (max(parts) if parts else 0)) * top.bit_length()
 
 
 def product(factors) -> int:
@@ -256,9 +256,8 @@ def product(factors) -> int:
     """
     factors = list(factors)
     while len(factors) > 8:
-        if len(factors) % 2:
-            factors.append(1)
-        factors = list(map(operator.mul, factors[::2], factors[1::2]))
+        pairs = iter(factors)  # zipped with itself; an odd last factor waits a round
+        factors = list(map(operator.mul, pairs, pairs)) + factors[len(factors) & ~1:]
     return math.prod(factors)
 
 

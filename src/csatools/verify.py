@@ -18,7 +18,8 @@ its factor bounds); index_reduction_by_min_form, the index-reduction gcd
 as a minimum over p - 1 shifts, on raw residues; and
 proof_inequalities_by_window, the symbolic certificate's window of
 valuations checked term by term, where the library route returns the
-proved answer.
+proved answer.  The prime-power total's oracle is inline: the factorial
+ratio (p^k (p^n - 1))! / ((p^n - 1)!)^{p^k}, which no library route builds.
 """
 
 from __future__ import annotations
@@ -302,22 +303,21 @@ def suite_chow_laws() -> Iterator[Check]:
 
 
 def suite_bound_valuation() -> Iterator[Check]:
-    """v_p(total) = n(p^k - 1), coprimality, and the two bound routes."""
+    """v_p(total) = n(p^k - 1), coprimality, and the prime-power total against factorials."""
     for p in (2, 3, 5):
         for k in (0, 1, 2):
             for n in (1, 2):
                 report = bounds.prime_power_bound(p, k, n)
-                want = n * (p**k - 1)
+                pk, pn = p**k, p**n
+                want = n * (pk - 1)
                 yield (valuation.vp(p, report.total), want, f"v_{p}(total) p={p},k={k},n={n}")
                 yield (math.gcd(report.cofactor, p), 1, f"gcd(m,p) p={p},k={k},n={n}")
-                general = bounds.general_bound(
-                    bounds.AlgebraShape((p**n,) * p**k, p**k, p**k)
-                )
+                general = bounds.general_bound(bounds.AlgebraShape((pn,) * pk, pk, pk))
                 yield (general.remainder, 0, f"r=0 p={p},k={k},n={n}")
                 yield (
-                    general.multinomial_factor,
                     report.total,
-                    f"general vs prime-power p={p},k={k},n={n}",
+                    math.factorial(pk * (pn - 1)) // math.factorial(pn - 1) ** pk,
+                    f"prime-power total vs factorial ratio p={p},k={k},n={n}",
                 )
     for d in range(1, 6):
         for period in (1, d):

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import pathlib
 import subprocess
@@ -276,8 +275,8 @@ class TestExitCodes:
         assert "internal consistency failure" in capsys.readouterr().err
 
     def test_inexact_cofactor_division_is_exit_3(self, capsys, monkeypatch):
-        real_factorial = math.factorial
-        monkeypatch.setattr(math, "factorial", lambda n: real_factorial(n) + 1)
+        real_multinomial = bounds.multinomial
+        monkeypatch.setattr(bounds, "multinomial", lambda top, parts: real_multinomial(top, parts) + 1)
         assert cli.run(["cofactor-m", "--p", "3", "--k", "1", "--n", "1"]) == 3
         assert capsys.readouterr().err == (
             "internal consistency failure: cofactor division not exact for p=3, k=1, n=1\n")
@@ -369,6 +368,13 @@ class TestLongOutputs:
         outputs = self.run_record(capsys, ["cofactor-m", "--p", "5", "--k", "2", "--n", "5", "--vp"])
         assert len(outputs["m"]) > 4300
         assert outputs == {"m": _full_decimal(m), "vp(m)": "0"}
+
+    def test_prime_power_bound_whose_factorial_was_refused(self, capsys):
+        # N! for N = 2 * (2^16 - 1) is past the size limit; the multinomial estimate admits the total
+        pairs = run_pairs(capsys, ["bound", "prime-power", "--p", "2", "--k", "1", "--n", "16"])
+        report = bounds.prime_power_bound(2, 1, 16)
+        assert pairs["p_part"] == "65536"
+        assert (pairs["m"], pairs["total"]) == (_full_decimal(report.cofactor), _full_decimal(report.total))
 
     def test_large_certificate(self, capsys):
         cert = karpenko.corestriction_certificate(3, 10000)

@@ -5,8 +5,9 @@ estimate to valuation.refuse_oversized.  Each guarded route is run one
 step past the limit, where it must refuse before building anything, and
 exactly at the limit, where it must answer with a number of at most
 SIZE_LIMIT_BITS bits, wherever that is cheap.  The many-factor products,
-multinomial's many parts and baseline_bound's many points, are run at
-their worst shape at the limit, against their known answers and a
+multinomial's many parts and baseline_bound's many points, and the
+prime-power routes are run at their worst shape at the limit, against
+their known answers (the prime-power total's by factorials) and a
 wall-clock bound.  The certificate routes have their own boundary tests
 in test_karpenko.py.  index_reduction's p^d terms of n coordinates are
 checked the same way against valuation.refuse_overlong's STEP_LIMIT.
@@ -28,6 +29,7 @@ MULTINOMIAL_PART = LIMIT // MULTINOMIAL_TOP.bit_length()
 # the most parts of 1 the multinomial estimate admits: (ONES - 1) * bit_length(ONES) <= LIMIT
 ONES = 123_362
 POINTS = 2**20  # points (2, 1), each 1 * bit_length(2) bits
+P64 = 18446744073709551557  # the largest prime below 2^64
 # the first prime whose p^p is refused
 PROP1_PAST = next(q for q in itertools.count(2) if q * q.bit_length() > LIMIT and valuation.is_prime_64bit(q))
 # the first prime whose case table, p^2 rows of (p + 2) * bit_length(p) bits, is refused
@@ -43,6 +45,14 @@ def _within(seconds, want, call, *args):
     assert elapsed <= seconds, f"{call.__name__} took {elapsed:.1f} s, more than {seconds} s"
     assert answer == want
     return answer
+
+
+def _by_factorials(p, k, n):
+    """(p_part, cofactor, total) of the prime-power bound, the total as (p^k (p^n - 1))! / ((p^n - 1)!)^{p^k}."""
+    pk, pn = p**k, p**n
+    total = math.factorial(pk * (pn - 1)) // math.factorial(pn - 1) ** pk
+    p_part = p ** (n * (pk - 1))
+    return p_part, total // p_part, total
 
 
 # route -> (call exactly at the limit, or None where that is not cheap;
@@ -73,20 +83,24 @@ BOUNDARY = {
         lambda: valuation.multinomial(ONES + 1, [1] * (ONES + 1)),
         "the multinomial",
     ),
-    "prime_power_instance": (  # (k + n) * bit_length(p), before p^k is built
-        None,
+    # (k + n) * bit_length(p), before p^k is built.  It binds only at k = 0, where the total is
+    # N! / N! = 1 and the cost is p^n: 0.10-0.24 s at 2^21 bits on 3.10-3.13
+    "prime_power_instance": (
+        lambda: _within(1, (1, 1, 1), bounds.prime_power_bound, P64, 0, LIMIT // 64).total,
         lambda: bounds.prime_power_bound(3, LIMIT // 2, 1),
         "p^(k+n)",
     ),
-    "cofactor_m": (  # N * bit_length(N) for N = p^k (p^n - 1); (5, 2, 5) answers in test_cli.py
-        None,
-        lambda: bounds.cofactor_m(5, 2, 6),
-        "(p^k (p^n - 1))!",
+    # the multinomial estimate (p^k - 1)(p^n - 1) * bit_length(N), N = p^k (p^n - 1).  The slowest
+    # admitted shapes: (2, 1, 16) on 3.10 (1.8-2.1 s, math.comb), (3, 10, 1) on 3.11-3.13 (0.4-0.7 s)
+    "cofactor_m": (
+        lambda: _within(9, _by_factorials(2, 1, 16)[1], bounds.cofactor_m, 2, 1, 16),
+        lambda: bounds.cofactor_m(2, 1, 17),
+        "the prime-power bound",
     ),
     "prime_power_bound": (
-        None,
-        lambda: bounds.prime_power_bound(5, 2, 6),
-        "(p^k (p^n - 1))!",
+        lambda: _within(4, _by_factorials(3, 10, 1), bounds.prime_power_bound, 3, 10, 1).total,
+        lambda: bounds.prime_power_bound(3, 11, 1),
+        "the prime-power bound",
     ),
     "bound_improvement": (  # baseline_bound's p^k * bit_length(p^n): 3 * 699,050, then 3 * 699,051
         lambda: bounds.bound_improvement(3, 1, 441_051).baseline,
@@ -160,6 +174,11 @@ def test_general_bound_refuses_before_it_builds_the_multinomial(monkeypatch, rou
     with pytest.raises(ValueError, match=f"^the general bound would have up to {bits} bits, "
                                          f"beyond the size limit of {LIMIT} bits$"):
         BOUNDARY[route][1]()
+
+
+def test_prime_power_bound_with_k_0_answers_one_at_the_instance_limit():
+    # N! for N = 3^(2^20) - 1 is far past the limit, but the total N! / N! = 1 is not
+    assert bounds.prime_power_bound(3, 0, LIMIT // 2) == (1, 1, 1)
 
 
 def test_case_table_answers_for_the_last_prime_before_its_limit():
