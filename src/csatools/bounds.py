@@ -8,7 +8,8 @@ Three bounds live here:
   r = (sum d_i - m) mod I;
 * its prime-power specialization, p^k components of degree p^n with
   corestriction index dividing p^k: the multinomial total (p^k (p^n - 1);
-  p^n - 1, ..., p^n - 1) splits as p^{n(p^k - 1)} * m with gcd(m, p) = 1;
+  p^n - 1, ..., p^n - 1) splits as p^{n(p^k - 1)} * m with gcd(m, p) = 1.
+  prime_power_bound is its one route; cofactor_m reads m off it;
 * the a-priori baseline prod (deg A_q)^{[F(q):F]} that requires no index
   hypothesis at all, taken over (deg A_q, [F(q):F]) pairs, one per point
   q of Spec L.
@@ -63,7 +64,7 @@ class BoundReport(NamedTuple):
 
 
 class PrimePowerBound(NamedTuple):
-    """The prime-power bound: the multinomial total = p_part * cofactor, gcd(cofactor, p) = 1."""
+    """prime_power_bound's record: the multinomial total = p_part * cofactor, gcd(cofactor, p) = 1."""
 
     p_part: int
     cofactor: int
@@ -102,37 +103,33 @@ def _prime_power_instance(p: int, k: int, n: int) -> Prime:
     return p
 
 
-def cofactor_m(p: int, k: int, n: int) -> int:
-    """The prime-to-p cofactor (p^k (p^n - 1); p^n - 1, ..., p^n - 1) / p^{n(p^k - 1)}.
+def prime_power_bound(p: int, k: int, n: int) -> PrimePowerBound:
+    """Splitting degree p^{n(p^k - 1)} * m with m coprime to p: the one prime-power route.
 
-    The multinomial is the prime-power total, sized before its p^k parts
-    are listed.  The division is exact; a nonzero remainder would mean the
-    formula itself is wrong, so that raises ConsistencyError, not ValueError.
+    The multinomial total is sized before its p^k parts are listed, then
+    built once and divided by its p-part.  The division is exact; a nonzero
+    remainder would mean the formula itself is wrong, so that raises
+    ConsistencyError, not ValueError.  verify's bound-valuation suite checks
+    gcd(m, p) = 1 and v_p(total) = n(p^k - 1) independently.
     """
     p = _prime_power_instance(p, k, n)
     pk = p**k
     pn = p**n
     top = pk * (pn - 1)
     refuse_oversized("the prime-power bound", multinomial_bits(top, (pn - 1,)))
-    quotient, residue = divmod(multinomial(top, [pn - 1] * pk), p ** (n * (pk - 1)))
+    total = multinomial(top, [pn - 1] * pk)
+    p_part = p ** (n * (pk - 1))
+    cofactor, residue = divmod(total, p_part)
     if residue:
         raise ConsistencyError(
             f"cofactor division not exact for p={p}, k={k}, n={n}"
         )
-    return quotient
+    return PrimePowerBound(p_part, cofactor, total)
 
 
-def prime_power_bound(p: int, k: int, n: int) -> PrimePowerBound:
-    """Splitting degree p^{n(p^k - 1)} * m with m coprime to p.
-
-    cofactor_m runs first and makes the one check of (p, k, n), so p is
-    prime and the p-part is built within that check's size limit.
-    verify's bound-valuation suite checks gcd(m, p) = 1 and
-    v_p(total) = n(p^k - 1) independently.
-    """
-    m = cofactor_m(p, k, n)
-    p_part = p ** (n * (p**k - 1))
-    return PrimePowerBound(p_part, m, p_part * m)
+def cofactor_m(p: int, k: int, n: int) -> int:
+    """The prime-to-p cofactor m = total / p^{n(p^k - 1)}, read off prime_power_bound."""
+    return prime_power_bound(p, k, n).cofactor
 
 
 def baseline_bound(points) -> int:

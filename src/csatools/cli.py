@@ -51,8 +51,7 @@ class Result(NamedTuple):
     provenance: list
     inputs: dict | None = None  # None: the parsed flags, in table order
     text: Callable[[dict], str] | None = None  # renders the outputs in place of _text
-    exit_code: int = 0
-    notes: tuple = ()  # diagnostics for stderr
+    failures: tuple = ()  # lines for stderr; any makes the exit status 3
 
 
 class Command(NamedTuple):
@@ -250,8 +249,7 @@ def _verify(a) -> Result:
         ["deterministic regression, oracle and invariant suites"],
         inputs={"suites": ",".join(res.name for res in results)},
         text=summary,
-        exit_code=0 if all_ok else 3,
-        notes=tuple(f"{res.name}: {msg}" for res in results for msg in res.failures[:20]),
+        failures=tuple(f"{res.name}: {msg}" for res in results for msg in res.failures[:20]),
     )
 
 
@@ -456,15 +454,15 @@ def run(argv=None) -> int:
         if getattr(args, "vp", False):
             outputs = _with_vp(outputs, args.p)
 
-        for note in result.notes:
-            print(note, file=sys.stderr)
+        for line in result.failures:
+            print(line, file=sys.stderr)
         if args.format == RECORD_FORMAT:
             print(_record(args.command, inputs, outputs, result.provenance))
         elif result.text is not None:
             print(result.text(outputs))
         else:
             print(_text(inputs, outputs, result.provenance))
-        return result.exit_code
+        return 3 if result.failures else 0
     finally:
         sys.set_int_max_str_digits(saved)
 

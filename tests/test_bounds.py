@@ -137,8 +137,10 @@ class TestPrimePowerBound:
         assert report.cofactor == 488864376
         assert vp(5, report.total) == 4
 
-    def test_checks_the_instance_once(self, monkeypatch):
-        # cofactor_m makes the one check; prime_power_bound adds none
+    @pytest.mark.parametrize("route, want", [(prime_power_bound, PrimePowerBound(9, 10, 90)),
+                                             (cofactor_m, 10)], ids=["prime_power_bound", "cofactor_m"])
+    def test_checks_the_instance_once(self, monkeypatch, route, want):
+        # prime_power_bound makes the one check; cofactor_m reads its record and adds none
         calls = []
         check_instance = bounds._prime_power_instance
 
@@ -147,7 +149,7 @@ class TestPrimePowerBound:
             return check_instance(p, k, n)
 
         monkeypatch.setattr(bounds, "_prime_power_instance", counting_instance)
-        assert prime_power_bound(3, 1, 1).total == 90
+        assert route(3, 1, 1) == want
         assert calls == [(3, 1, 1)]
 
     def test_valuation_identity_sweep(self):

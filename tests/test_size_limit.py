@@ -5,12 +5,13 @@ estimate to valuation.refuse_oversized.  Each guarded route is run one
 step past the limit, where it must refuse before building anything, and
 exactly at the limit, where it must answer with a number of at most
 SIZE_LIMIT_BITS bits, wherever that is cheap.  The many-factor products,
-multinomial's many parts and baseline_bound's many points, and the
-prime-power routes are run at their worst shape at the limit, against
-their known answers (the prime-power total's by factorials) and a
-wall-clock bound.  The certificate routes have their own boundary tests
-in test_karpenko.py.  index_reduction's p^d terms of n coordinates are
-checked the same way against valuation.refuse_overlong's STEP_LIMIT.
+multinomial's many parts, baseline_bound's many points and general_bound's
+many small parts, and the prime-power routes are run at their worst shape
+at the limit, against their known answers (the prime-power total's by
+factorials) and a wall-clock bound.  The certificate routes have their
+own boundary tests in test_karpenko.py.  index_reduction's p^d terms of
+n coordinates are checked the same way against
+valuation.refuse_overlong's STEP_LIMIT.
 """
 
 import itertools
@@ -29,6 +30,7 @@ MULTINOMIAL_PART = LIMIT // MULTINOMIAL_TOP.bit_length()
 # the most parts of 1 the multinomial estimate admits: (ONES - 1) * bit_length(ONES) <= LIMIT
 ONES = 123_362
 POINTS = 2**20  # points (2, 1), each 1 * bit_length(2) bits
+SMALL_PARTS = 41_943  # the most degrees of 2 the general bound admits at index = period = 2^33
 P64 = 18446744073709551557  # the largest prime below 2^64
 # the first prime whose p^p is refused
 PROP1_PAST = next(q for q in itertools.count(2) if q * q.bit_length() > LIMIT and valuation.is_prime_64bit(q))
@@ -53,6 +55,12 @@ def _by_factorials(p, k, n):
     total = math.factorial(pk * (pn - 1)) // math.factorial(pn - 1) ** pk
     p_part = p ** (n * (pk - 1))
     return p_part, total // p_part, total
+
+
+def _small_parts(n):
+    """general_bound's record for n degrees of 2 at index = period = 2^33: n! times (2^33)^n, r = n."""
+    factorial = math.factorial(n)
+    return factorial, n, 1 << (33 * n), factorial << (33 * n)
 
 
 # route -> (call exactly at the limit, or None where that is not cheap;
@@ -122,8 +130,12 @@ BOUNDARY = {
         lambda: bounds.general_bound(bounds.AlgebraShape((LIMIT // 2 + 2,), 3**13, 3)),
         "the general bound",
     ),
-    "general_bound, many small parts": (  # 59,999 * 16 + 60,000 * 34 = 2,999,984 bits
-        None,
+    # (N - 1) * bit_length(N) + N * bit_length(2^33) for N degrees of 2: 41,942 * 16 + 41,943 * 34
+    # = 2,097,134 bits at SMALL_PARTS, 2,097,184 one past it; the past call's 59,999 * 16 + 60,000 * 34
+    # = 2,999,984 bits.  The answer N! * (2^33)^N, 1,967,700 bits, took 0.11-0.14 s on 3.10-3.13
+    "general_bound, many small parts": (
+        lambda: _within(1, _small_parts(SMALL_PARTS), bounds.general_bound,
+                        bounds.AlgebraShape((2,) * SMALL_PARTS, 2**33, 2**33)).total,
         lambda: bounds.general_bound(bounds.AlgebraShape((2,) * 60000, 2**33, 2**33)),
         "the general bound",
     ),
