@@ -10,7 +10,8 @@ one stable single-line record with `--format json-like-stable-schema`:
 with every number as a full decimal string and field order fixed, so the
 emitted record re-renders byte-identically after parsing.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 internal-consistency
-failure, and 141 from main() when the reader closes stdout early.
+failure or any other unexpected exception, and 141 from main() when the
+reader closes stdout early.
 `--vp` (offered exactly on the subcommands that take `--p`)
 additionally reports the p-adic valuation of each numeric output.
 
@@ -154,10 +155,9 @@ def _segre_degree(a) -> Result:
             f"expansion {expansion} != closed form {closed} on shape {a.shape}"
         )
     # the top monomial is the only one of degree sum(d_i - 1) inside the box
-    top = tuple(d - 1 for d in a.shape)
-    top_power = cs.chowring.ChowClass(a.shape, {top: expansion})
+    top_power = f"{expansion}·" + "*".join(f"l{i}^{d - 1}" for i, d in enumerate(a.shape, 1))
     outputs = {"expansion": expansion, "closed_form": closed, "agree": True,
-               "top_power_class": top_power.to_text()}
+               "top_power_class": top_power}
     return Result(outputs, [
         "expansion: coefficient of the point class in (l1+...+lm)^(sum d_i - m)",
         "closed form: multinomial (sum d_i - m; d_1 - 1, ..., d_m - 1)",
@@ -437,6 +437,9 @@ def run(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # flags were parsed under the cap; nothing after is
     try:
         result = command.handler(args)
+        outputs = result.outputs
+        if getattr(args, "vp", False):  # the decoration calls the library too
+            outputs = _with_vp(outputs, args.p)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -446,14 +449,13 @@ def run(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     else:
         inputs = result.inputs
         if inputs is None:
             inputs = {flag: getattr(args, flag) for flag in command.flags}
-        outputs = result.outputs
-        if getattr(args, "vp", False):
-            outputs = _with_vp(outputs, args.p)
-
         for line in result.failures:
             print(line, file=sys.stderr)
         if args.format == RECORD_FORMAT:

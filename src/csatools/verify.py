@@ -6,7 +6,7 @@ structural invariants of every module.  Suites are deterministic (any
 randomness is seeded) and sized for desk-scale runtimes, so `verify
 --all` doubles as a smoke test of the whole package.
 
-This module also hosts four oracles, kept here rather than in the
+This module also hosts five oracles, kept here rather than in the
 library proper so each stays independent of the route it checks:
 karpenko_lower_bound_grouped, a structurally different
 re-implementation of the cycle-bound minimum (the largest term of each
@@ -18,8 +18,8 @@ its factor bounds); index_reduction_by_min_form, the index-reduction gcd
 as a minimum over p - 1 shifts, on raw residues; and
 proof_inequalities_by_window, the symbolic certificate's window of
 valuations checked term by term, where the library route returns the
-proved answer.  The prime-power total's oracle is inline: the factorial
-ratio (p^k (p^n - 1))! / ((p^n - 1)!)^{p^k}, which no library route builds.
+proved answer; and prime_power_total_by_factorials, the prime-power total
+as a ratio of factorials, which no library route builds.
 """
 
 from __future__ import annotations
@@ -138,6 +138,12 @@ def proof_inequalities_by_window(p: int, r: int) -> bool:
     and builds no p^{rp}.
     """
     return all(valuation.vp(p, p + 1 + i) < r + i for i in range(p - 1, r * p - r, p))
+
+
+def prime_power_total_by_factorials(p: int, k: int, n: int) -> int:
+    """(p^k (p^n - 1))! / ((p^n - 1)!)^{p^k}, the total the library builds as a multinomial."""
+    pk, pn = p**k, p**n
+    return math.factorial(pk * (pn - 1)) // math.factorial(pn - 1) ** pk
 
 
 def _read(read, run, *args):
@@ -316,7 +322,7 @@ def suite_bound_valuation() -> Iterator[Check]:
                 yield (general.remainder, 0, f"r=0 p={p},k={k},n={n}")
                 yield (
                     report.total,
-                    math.factorial(pk * (pn - 1)) // math.factorial(pn - 1) ** pk,
+                    prime_power_total_by_factorials(p, k, n),
                     f"prime-power total vs factorial ratio p={p},k={k},n={n}",
                 )
     for d in range(1, 6):

@@ -2,9 +2,9 @@
 
 The cofactor m, which the library builds as the multinomial
 (p^k(p^n - 1); p^n - 1, ..., p^n - 1) over p^{n(p^k - 1)}, is checked
-against the exact division of (p^k(p^n - 1))! by
-((p^n - 1)!)^{p^k} * p^{n(p^k - 1)}.  The prime-power bound is checked
-for its factorization total = p_part * cofactor, for
+against the exact division of verify's factorial ratio
+(p^k(p^n - 1))! / ((p^n - 1)!)^{p^k} by p^{n(p^k - 1)}.  The prime-power
+bound is checked for its factorization total = p_part * cofactor, for
 v_p(total) = n(p^k - 1) and for a cofactor prime to p.  The general
 bound is checked against full factorials times period^r, and the
 baseline against the direct product of its points; a baseline entry
@@ -28,6 +28,7 @@ from csatools.bounds import (
     prime_power_bound,
 )
 from csatools.valuation import SIZE_LIMIT_BITS, vp
+from csatools.verify import prime_power_total_by_factorials
 
 PRIME_POWER_MAX = 7**4  # largest p^(k+n) drawn
 FIXED = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -47,9 +48,7 @@ def prime_power_instances(draw):
 @given(prime_power_instances())
 def test_cofactor_matches_the_factorial_division(case):
     p, k, n = case
-    pk, pn = p**k, p**n
-    denominator = math.factorial(pn - 1) ** pk * p ** (n * (pk - 1))
-    quotient, residue = divmod(math.factorial(pk * (pn - 1)), denominator)
+    quotient, residue = divmod(prime_power_total_by_factorials(p, k, n), p ** (n * (p**k - 1)))
     assert residue == 0
     assert cofactor_m(p, k, n) == quotient
 

@@ -180,14 +180,6 @@ class TestScenarios:
         report = prop2_scenario(p, d, n)
         assert (report["index_of_A"], report["index_of_A_prime"]) == expected
 
-    def test_prop2_all_valid_parameters_up_to_7(self):
-        for p in (3, 5, 7):
-            for n in range(2, p):
-                for d in range(1, n):
-                    report = prop2_scenario(p, d, n)
-                    assert report["index_of_A"] == p**d
-                    assert report["index_of_A_prime"] == p**n
-
     def test_prop2_reduces_twice(self, monkeypatch):
         # d = 1 is not re-run: verify's brauer-model suite covers it as a scenario
         calls = []

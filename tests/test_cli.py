@@ -38,51 +38,16 @@ def get_json(capsys, argv):
 
 
 class TestBasicCommands:
-    def test_vp(self, capsys):
-        pairs = run_pairs(capsys, ["vp", "--p", "3", "--n", "18"])
-        assert pairs["vp"] == "2"
-
-    def test_vp_factorial_methods(self, capsys):
+    def test_vp_factorial_methods(self, capsys):  # the default; golden cases pin each --method
         pairs = run_pairs(capsys, ["vp-factorial", "--p", "3", "--n", "9"])
-        assert pairs["vp"] == "4"
-        pairs = run_pairs(
-            capsys, ["vp-factorial", "--p", "3", "--method", "prime-power", "--n", "2"]
-        )
-        assert pairs["vp"] == "4"
-        pairs = run_pairs(
-            capsys,
-            ["vp-factorial", "--p", "3", "--method", "k-prime-power", "--k", "2", "--n", "2"],
-        )
-        assert pairs["vp"] == "8"
-        pairs = run_pairs(
-            capsys, ["vp-factorial", "--p", "3", "--method", "misc", "--k", "2", "--n", "1"]
-        )
-        assert pairs["vp"] == "8"
-
-    def test_vp_factorial_missing_k_is_usage_error(self, capsys):
-        code = cli.run(["vp-factorial", "--p", "3", "--method", "misc", "--n", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--k" in captured.err
+        assert pairs == {"p": "3", "method": "oracle", "n": "9", "vp": "4"}
 
     def test_vp_factorial_unused_k_is_usage_error(self, capsys):
-        for method in ("oracle", "prime-power"):
-            code = cli.run(["vp-factorial", "--p", "3", "--method", method, "--n", "9", "--k", "2"])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert captured.err == f"usage error: --k is not used by --method {method}\n"
-
-    def test_multinomial(self, capsys):
-        out = run_ok(capsys, ["multinomial", "--top", "6", "--parts", "2,2,2"])
-        assert "90" in out
-
-    def test_segre_degree(self, capsys):
-        pairs = run_pairs(capsys, ["segre-degree", "--shape", "2,2"])
-        assert pairs["expansion"] == "2"
-        assert pairs["closed_form"] == "2"
-        assert pairs["agree"] == "true"
-        assert pairs["top_power_class"] == "2·l1^1*l2^1"
+        code = cli.run(["vp-factorial", "--p", "3", "--method", "prime-power", "--n", "9", "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "usage error: --k is not used by --method prime-power\n"
 
     @pytest.mark.parametrize("shape", ["1", "1,3", "2,1,4", "3,1,1,2"])
     def test_segre_top_power_class_with_trivial_factors(self, capsys, shape):
@@ -90,50 +55,6 @@ class TestBasicCommands:
         ring = tuple(map(int, shape.split(",")))
         top = chowring.power(chowring.hyperplane_sum(ring), sum(ring) - len(ring))
         assert pairs["top_power_class"] == top.to_text()
-
-    def test_bound_general(self, capsys):
-        pairs = run_pairs(
-            capsys,
-            ["bound", "general", "--shape", "3,3,3", "--index", "3", "--period", "3"],
-        )
-        assert pairs["total"] == "90"
-        assert pairs["r"] == "0"
-
-    def test_bound_prime_power(self, capsys):
-        pairs = run_pairs(capsys, ["bound", "prime-power", "--p", "3", "--k", "1", "--n", "1"])
-        assert pairs["p_part"] == "9"
-        assert pairs["m"] == "10"
-        assert pairs["total"] == "90"
-
-    def test_bound_baseline(self, capsys):
-        pairs = run_pairs(capsys, ["bound", "baseline", "--point", "2:1", "--point", "2:1"])
-        assert pairs["total"] == "4"
-
-    def test_bound_improvement(self, capsys):
-        pairs = run_pairs(capsys, ["bound", "improvement", "--p", "3", "--k", "1", "--n", "1"])
-        assert pairs["baseline"] == "27"
-        assert pairs["improved_p_part"] == "9"
-
-    def test_cofactor_m(self, capsys):
-        pairs = run_pairs(capsys, ["cofactor-m", "--p", "3", "--k", "1", "--n", "1"])
-        assert pairs["m"] == "10"
-
-    def test_karpenko_bound(self, capsys):
-        pairs = run_pairs(capsys, ["karpenko-bound", "--p", "3", "--n", "3", "--codim", "20"])
-        assert pairs["lower_bound"] == "3"
-
-    def test_corestriction_cert(self, capsys):
-        pairs = run_pairs(capsys, ["corestriction-cert", "--p", "3", "--r", "1"])
-        assert pairs["codim"] == "20"
-        assert pairs["observed_valuation"] == "2"
-        assert pairs["lower_bound"] == "3"
-        assert pairs["violated"] == "true"
-
-    def test_proof_inequalities(self, capsys):
-        pairs = run_pairs(capsys, ["proof-inequalities", "--p", "5", "--r", "1"])
-        assert pairs["holds"] == "true"
-        assert pairs["pr_ge_r_plus_2"] == "true"
-        assert pairs["pr_ge_rp"] == "true"
 
     @pytest.mark.parametrize("command", ["corestriction-cert", "proof-inequalities"])
     @pytest.mark.parametrize("r, marked", [(2, False), (3, True)])
@@ -145,29 +66,6 @@ class TestBasicCommands:
         assert (f"# {note}" in text, note in record) == (marked, marked)
         if marked:
             assert text[-1] == f"# {note}" and record[-1] == note
-
-    def test_index_reduction(self, capsys):
-        pairs = run_pairs(
-            capsys,
-            ["index-reduction", "--p", "3", "--target", "1,1,2", "--fiber", "1,1,1", "--d", "2"],
-        )
-        assert pairs["index"] == "27"
-
-    def test_prop1(self, capsys):
-        pairs = run_pairs(capsys, ["prop1", "--p", "3"])
-        assert pairs["index_of_A"] == "9"
-        assert pairs["index_of_A_prime"] == "27"
-
-    def test_prop1_table(self, capsys):
-        out = run_ok(capsys, ["prop1-table", "--p", "3"])
-        lines = out.strip().splitlines()
-        assert lines[0].split() == ["i", "factor", "index", "term", "case"]
-        assert len(lines) == 10  # header + 9 rows
-
-    def test_prop2(self, capsys):
-        pairs = run_pairs(capsys, ["prop2", "--p", "5", "--d", "2", "--n", "3"])
-        assert pairs["index_of_A"] == "25"
-        assert pairs["index_of_A_prime"] == "125"
 
 
 class TestExitCodes:
@@ -273,6 +171,16 @@ class TestExitCodes:
         monkeypatch.setattr(bounds, "prime_power_bound", broken)
         assert cli.run(["bound", "prime-power", "--p", "3", "--k", "1", "--n", "1"]) == 3
         assert "internal consistency failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", ["vp --p 3 --n 9", "bound improvement --p 3 --k 1 --n 1 --vp"],
+                             ids=["handler", "vp decoration"])
+    def test_unexpected_exception_is_exit_3(self, capsys, monkeypatch, argv):
+        def broken(p, n):
+            raise KeyError("x")
+
+        monkeypatch.setattr(valuation, "vp", broken)
+        assert cli.run(argv.split()) == 3
+        assert capsys.readouterr() == ("", "internal error: KeyError: 'x'\n")
 
     def test_inexact_cofactor_division_is_exit_3(self, capsys, monkeypatch):
         real_multinomial = bounds.multinomial

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from csatools import bounds, brauer, valuation
+from csatools import bounds, brauer, valuation, verify
 from csatools.valuation import SIZE_LIMIT_BITS as LIMIT
 from csatools.valuation import STEP_LIMIT
 
@@ -50,10 +50,9 @@ def _within(seconds, want, call, *args):
 
 
 def _by_factorials(p, k, n):
-    """(p_part, cofactor, total) of the prime-power bound, the total as (p^k (p^n - 1))! / ((p^n - 1)!)^{p^k}."""
-    pk, pn = p**k, p**n
-    total = math.factorial(pk * (pn - 1)) // math.factorial(pn - 1) ** pk
-    p_part = p ** (n * (pk - 1))
+    """(p_part, cofactor, total) of the prime-power bound, the total by verify's factorial ratio."""
+    total = verify.prime_power_total_by_factorials(p, k, n)
+    p_part = p ** (n * (p**k - 1))
     return p_part, total // p_part, total
 
 

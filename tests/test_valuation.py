@@ -16,13 +16,10 @@ from csatools.valuation import (
     vp_factorial_prime_power,
 )
 
-PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
-
-
 class TestPrime:
     def test_accepts_primes(self):
-        for p in PRIMES_TO_13 + [101, 2**31 - 1, 998244353, 1000000007, 4294967291, 2**61 - 1,
-                                  18446744073709551557]:
+        for p in (2, 3, 5, 7, 11, 13, 101, 2**31 - 1, 998244353, 1000000007, 4294967291,
+                  2**61 - 1, 18446744073709551557):
             assert Prime(p) == p
 
     @pytest.mark.parametrize("bad", [-7, 0, 1, 4, 6, 9, 15, 21, 1024])
@@ -195,25 +192,10 @@ class TestClosedForms:
         assert vp_factorial_prime_power(2, 0) == 0
         assert vp_factorial_prime_power(5, 3) == 31
 
-    def test_prime_power_vs_oracle_sweep(self):
-        for p in PRIMES_TO_13:
-            for n in range(0, 7):
-                assert vp_factorial_prime_power(p, n) == vp_factorial_oracle(p, p**n)
-
     def test_k_times_examples(self):
         assert vp_factorial_k_times_prime_power(3, 2, 2) == 8
         assert vp_factorial_k_times_prime_power(5, 1, 1) == 1
         assert vp_factorial_k_times_prime_power(7, 6, 1) == 6
-
-    def test_k_times_vs_oracle_sweep(self):
-        for p in PRIMES_TO_13:
-            for k in range(1, p):
-                for n in range(0, 5):
-                    if k * p**n > 10**6:
-                        continue
-                    assert vp_factorial_k_times_prime_power(
-                        p, k, n
-                    ) == vp_factorial_oracle(p, k * p**n)
 
     @pytest.mark.parametrize("k", [-1, 0, 3, 10])
     def test_k_times_rejects_k_out_of_range(self, k):
@@ -234,26 +216,6 @@ class TestClosedForms:
         assert vp_factorial_misc(2, 0, 1) == 0  # (2-1)! = 1
         assert vp_factorial_misc(3, 2, 1) == 8  # v_3(18!)
 
-    def test_misc_vs_oracle_sweep(self):
-        for p in (2, 3, 5, 7):
-            for k in range(0, 4):
-                for n in range(0, 4):
-                    arg = p**k * (p**n - 1)
-                    if arg > 10**6:
-                        continue
-                    assert vp_factorial_misc(p, k, n) == vp_factorial_oracle(p, arg)
-
-
-def _partitions(total, maximum=None):
-    if maximum is None:
-        maximum = total
-    if total == 0:
-        yield ()
-        return
-    for head in range(min(total, maximum), 0, -1):
-        for tail in _partitions(total - head, head):
-            yield (head,) + tail
-
 
 class TestMultinomial:
     def test_examples(self):
@@ -268,14 +230,6 @@ class TestMultinomial:
             multinomial(3, [4, -1])
         with pytest.raises(ValueError):
             multinomial(-1, [])
-
-    def test_factorial_identity_all_partitions_to_20(self):
-        for top in range(0, 21):
-            for parts in _partitions(top):
-                prod = 1
-                for part in parts:
-                    prod *= math.factorial(part)
-                assert multinomial(top, parts) * prod == math.factorial(top)
 
     def test_valuation_matches_oracle_difference(self):
         rng = random.Random(5150)
